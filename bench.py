@@ -41,11 +41,13 @@ class _StoreMonitor:
     have shown up as spill growth a round earlier): samples occupancy
     (cluster object_store_memory total - available, in bytes) and the
     raylet spill directory's size at 4 Hz on a daemon thread.
-    ``stats()`` reports the PEAK occupancy seen and the spill GROWTH
-    attributable to the block (max-seen minus at-start — spill files
-    are deleted on free, so an end-minus-start delta could go
-    negative). 4 Hz sampling can miss sub-250 ms spikes; good enough
-    for trend-level regression catching, which is the point."""
+    ``stats()`` reports what the block ADDED: peak occupancy and peak
+    spill, each over its value at block start (objects left live by an
+    earlier block are not charged to this one; max-seen rather than
+    end-minus-start because spill files are deleted on free, so an end
+    delta could go negative). 4 Hz sampling can miss sub-250 ms spikes;
+    good enough for trend-level regression catching, which is the
+    point."""
 
     def __init__(self):
         import ray
@@ -58,9 +60,17 @@ class _StoreMonitor:
             node.get_session_dir_path(), "ray_spilled_objects*", "*"
         )
         self._stop = threading.Event()
-        self._peak = 0.0
-        self._spill0 = self._spill_bytes()
-        self._spill_peak = self._spill0
+
+    def _occupancy(self) -> float:
+        import ray
+
+        try:
+            avail = ray.available_resources().get(
+                "object_store_memory", self._total
+            )
+        except Exception:
+            return 0.0  # no reading; never raises the peak
+        return self._total - avail
 
     def _spill_bytes(self) -> int:
         total = 0
@@ -72,15 +82,7 @@ class _StoreMonitor:
         return total
 
     def _sample(self) -> None:
-        import ray
-
-        try:
-            avail = ray.available_resources().get(
-                "object_store_memory", self._total
-            )
-        except Exception:
-            return
-        self._peak = max(self._peak, self._total - avail)
+        self._peak = max(self._peak, self._occupancy())
         self._spill_peak = max(self._spill_peak, self._spill_bytes())
 
     def _run(self) -> None:
@@ -88,6 +90,8 @@ class _StoreMonitor:
             self._sample()
 
     def __enter__(self) -> "_StoreMonitor":
+        self._occupancy0 = self._peak = self._occupancy()
+        self._spill0 = self._spill_peak = self._spill_bytes()
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
         return self
@@ -99,7 +103,7 @@ class _StoreMonitor:
 
     def stats(self) -> dict:
         return {
-            "objstore_peak_bytes": int(self._peak),
+            "objstore_peak_bytes": int(self._peak - self._occupancy0),
             "spill_bytes": int(max(0, self._spill_peak - self._spill0)),
         }
 

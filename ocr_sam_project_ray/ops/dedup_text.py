@@ -361,6 +361,14 @@ def minhash_lsh_pairs(
     est_col = "est_jaccard" if band_sig_bytes == 8 else "est_jaccard_u8"
 
     def sigs(batch: pa.Table) -> pa.Table:
+        # the band rows carry ids as int64; a string id (e.g. extraction's
+        # "url#seg001") would otherwise fail as an opaque Arrow cast error
+        id_type = batch.schema.field(id_col).type
+        if not pa.types.is_integer(id_type):
+            raise TypeError(
+                f"MinHash near-dup needs an integer id column; "
+                f"{id_col!r} is {id_type}"
+            )
         ids = batch[id_col].combine_chunks().to_numpy(zero_copy_only=False)
         hash_arrays = [shingle_hashes(t) for t in batch[text_col].to_pylist()]
         nonempty = [a for a in hash_arrays if a.size]  # empty-shingle guard

@@ -15,6 +15,19 @@ Design (SURVEY.md §4 checkpoint row):
   of truth: a shard directory without one is a torn write and is redone;
 - ``resume``: shards with a completed lineage record are skipped entirely
   (their input files are never read);
+- pending shards run concurrently, one shard job per thread on a pool of
+  ``min(pending, cluster CPUs)`` threads — a shard job of a few hundred
+  small pages keeps about one CPU busy, so one-at-a-time left the rest
+  idle. The actor path (``use_actors``) stays one at a time: concurrent
+  jobs' actor pools deadlock. Commits stay per-shard atomic (each shard
+  its own temp dir, rename and lineage record). Ray Data objects (read,
+  ``build_extraction`` with its winner pre-pass, the Parquet datasink) are
+  built one thread at a time under ``_BUILD_LOCK``; only execution
+  overlaps. Ray's filesystem resolution retries an optional fsspec import
+  on every read/write construction, and two threads racing that import
+  fail with an uncaught ``ImportError``. After the first failure no
+  further shard is started, the shards already running finish and commit,
+  and the error is raised;
 - ``metrics.json`` aggregates lineage after the run (counts, wall times) —
   the CloudWatch-metrics analog (src/ocr_processor/app.py:698-718), computed
   from sidecars, never from shared mutable counters.
@@ -33,14 +46,19 @@ import glob
 import json
 import os
 import shutil
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import Optional
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
+import ray
 import ray.data
+from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
 
 from ..context import configure_data_context
 from .extraction import PipelineConfig, build_extraction
@@ -67,6 +85,39 @@ def _write_atomic_json(path: str, payload: dict) -> None:
     os.replace(tmp, path)
 
 
+# serialises construction of Ray Data objects across threads (module
+# docstring); held only while building, never while a job executes
+_BUILD_LOCK = threading.Lock()
+
+
+def _commit_parquet(ds: ray.data.Dataset, final_dir: str) -> tuple[int, int]:
+    """Write ``ds`` to ``final_dir`` atomically: into a pid-suffixed temp
+    dir, then one ``os.replace``. Returns (rows, successes) read back from
+    the written files — source-of-truth accounting. A failed write removes
+    its temp dir; ``final_dir`` must not exist yet."""
+    tmp_dir = final_dir + f".tmp.{os.getpid()}"
+    shutil.rmtree(tmp_dir, ignore_errors=True)
+    # the sink write_parquet would build, built here so that only its
+    # construction holds the lock, not the job
+    with _BUILD_LOCK:
+        sink = ParquetDatasink(tmp_dir)
+    try:
+        ds.write_datasink(sink)
+    except BaseException:
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+        raise
+    # an input whose every page is deduplicated away writes zero files
+    os.makedirs(tmp_dir, exist_ok=True)
+    os.replace(tmp_dir, final_dir)
+    files = glob.glob(os.path.join(final_dir, "*.parquet"))
+    if not files:
+        return 0, 0
+    success = pads.dataset(files, format="parquet").to_table(
+        columns=["success"]
+    )["success"]
+    return len(success), pc.sum(success).as_py() or 0
+
+
 def completed_shards(out_dir: str) -> dict[str, dict]:
     """Completed lineage records by shard_id. A bare id match is NOT enough
     to skip a shard on resume — the caller must also check that the record's
@@ -88,14 +139,38 @@ def completed_shards(out_dir: str) -> dict[str, dict]:
     return done
 
 
+def _run_shard(
+    files: list[str], out_dir: str, shard_id: str, n_shards: int, cfg: PipelineConfig
+) -> None:
+    started = time.time()
+    with _BUILD_LOCK:
+        ds = build_extraction(ray.data.read_parquet(files), cfg, pages_path=files)
+    n_rows, n_ok = _commit_parquet(ds, os.path.join(out_dir, f"shard={shard_id}"))
+    _write_atomic_json(
+        _lineage_path(out_dir, shard_id),
+        {
+            "shard_id": shard_id,
+            "n_shards": n_shards,
+            "input_fragment": [os.path.basename(f) for f in files],
+            "row_count": n_rows,
+            "success_count": n_ok,
+            "error_count": n_rows - n_ok,
+            "status": "completed",
+            "wall_time_s": round(time.time() - started, 3),
+        },
+    )
+
+
 def run_checkpointed(
     input_files: list[str],
     out_dir: str,
     cfg: Optional[PipelineConfig] = None,
     n_shards: int = 8,
 ) -> dict:
-    """Process ``input_files`` shard by shard, skipping completed shards.
-    Returns the aggregated metrics dict (also written to metrics.json)."""
+    """Process the shards of ``input_files`` that have no completed lineage
+    record, concurrently (module docstring), and re-raise the first shard
+    failure once the running shards have committed. Returns the aggregated
+    metrics dict, written to metrics.json after every shard finished."""
     configure_data_context()
     cfg = cfg or PipelineConfig(dedup_partitions=4)
     done = completed_shards(out_dir)
@@ -120,9 +195,9 @@ def run_checkpointed(
             pass
         done.pop(stale, None)
 
+    pending = []
     for idx, files in enumerate(shards):
         shard_id = f"{idx:05d}"
-        shard_dir = os.path.join(out_dir, f"shard={shard_id}")
         rec = done.get(shard_id)
         if (
             rec is not None
@@ -131,33 +206,28 @@ def run_checkpointed(
         ):
             continue  # same shard plan → safe to skip; any mismatch → redo
         # torn previous attempt (dir without completed lineage): redo cleanly
-        shutil.rmtree(shard_dir, ignore_errors=True)
+        shutil.rmtree(os.path.join(out_dir, f"shard={shard_id}"), ignore_errors=True)
+        pending.append((shard_id, files))
 
-        started = time.time()
-        ds = build_extraction(ray.data.read_parquet(files), cfg, pages_path=files)
-        tmp_dir = shard_dir + f".tmp.{os.getpid()}"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        ds.write_parquet(tmp_dir)
-        os.replace(tmp_dir, shard_dir)
-
-        # counts from the written shard (source-of-truth accounting)
-        dset = pads.dataset(shard_dir, format="parquet")
-        tbl = dset.to_table(columns=["success"])
-        n_rows = tbl.num_rows
-        n_ok = int(sum(1 for v in tbl["success"].to_pylist() if v))
-        _write_atomic_json(
-            _lineage_path(out_dir, shard_id),
-            {
-                "shard_id": shard_id,
-                "n_shards": len(shards),
-                "input_fragment": [os.path.basename(f) for f in files],
-                "row_count": n_rows,
-                "success_count": n_ok,
-                "error_count": n_rows - n_ok,
-                "status": "completed",
-                "wall_time_s": round(time.time() - started, 3),
-            },
-        )
+    # one at a time when there is no session yet (the first read starts
+    # one, so there is no cluster size to read) or on the actor path:
+    # each job's actor pool holds its CPUs for the whole job, and the
+    # pools of concurrent jobs take every CPU and starve each other's
+    # read tasks — a deadlock
+    cpus = 1
+    if ray.is_initialized() and not cfg.use_actors:
+        cpus = int(ray.cluster_resources().get("CPU", 1))
+    with ThreadPoolExecutor(max(1, min(len(pending), cpus))) as pool:
+        futures = [
+            pool.submit(_run_shard, files, out_dir, shard_id, len(shards), cfg)
+            for shard_id, files in pending
+        ]
+        try:
+            for fut in as_completed(futures):
+                fut.result()  # raises the first shard failure
+        finally:
+            # start no further shard; running ones finish and commit
+            pool.shutdown(cancel_futures=True)
 
     return write_metrics(out_dir)
 
@@ -398,23 +468,7 @@ def ingest_incremental(
                 snapshot_is_fp=True,
             )
         out_ds = build_extraction(ds, cfg, pages_path=[f])
-        tmp_dir = frag_dir + f".tmp.{os.getpid()}"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        out_ds.write_parquet(tmp_dir)
-        # a fully-deduplicated fragment writes zero files — record it as
-        # completed with row_count 0 (the re-delivered-object case)
-        os.makedirs(tmp_dir, exist_ok=True)
-        os.replace(tmp_dir, frag_dir)
-
-        frag_files = glob.glob(os.path.join(frag_dir, "*.parquet"))
-        if frag_files:
-            tbl = pads.dataset(frag_files, format="parquet").to_table(
-                columns=["success"]
-            )
-            n_rows = tbl.num_rows
-            n_ok = int(sum(1 for v in tbl["success"].to_pylist() if v))
-        else:
-            n_rows = n_ok = 0
+        n_rows, n_ok = _commit_parquet(out_ds, frag_dir)
         # sidecar BEFORE lineage: a crash between the two leaves a
         # completed-less fragment that is simply redone (sidecar
         # overwritten); the reverse order would leave a completed record
@@ -451,7 +505,9 @@ def ingest_incremental(
 
 def write_metrics(out_dir: str) -> dict:
     """Aggregate lineage sidecars → metrics.json (batch accounting analog:
-    counts by status, success rate — ocr_processor/app.py:67-80)."""
+    counts by status, success rate — ocr_processor/app.py:67-80).
+    ``total_wall_time_s`` is the SUM of per-shard walls, so it exceeds the
+    elapsed time whenever shards ran concurrently."""
     lineage_dir = os.path.join(out_dir, "lineage")
     records = []
     if os.path.isdir(lineage_dir):

@@ -30,3 +30,22 @@ def test_store_monitor_sees_occupancy():
     assert stats["objstore_peak_bytes"] >= 8_000_000, stats
     assert stats["spill_bytes"] == 0, stats
     assert set(stats) == {"objstore_peak_bytes", "spill_bytes"}
+
+
+def test_store_monitor_excludes_occupancy_at_block_start(monkeypatch):
+    """Objects already live when the block starts are not charged to it:
+    with 100 MB in the store at start and 108 MB at the block's peak, the
+    block reports 8 MB. The readings are scripted — in a shared session
+    earlier tests' objects are freed asynchronously, so live occupancy
+    cannot isolate the subtraction."""
+    bench = _load_bench()
+    total = ray.cluster_resources()["object_store_memory"]
+    used = iter([100_000_000])  # the block-start reading, then 108 MB
+
+    def available_resources():
+        return {"object_store_memory": total - next(used, 108_000_000)}
+
+    monkeypatch.setattr(ray, "available_resources", available_resources)
+    with bench._StoreMonitor() as mon:
+        time.sleep(0.3)  # at least one background sample
+    assert mon.stats()["objstore_peak_bytes"] == 8_000_000

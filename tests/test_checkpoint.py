@@ -6,14 +6,16 @@ import json
 import os
 
 import pandas as pd
+import pyarrow as pa
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 import pytest
 
 from ocr_sam_project_ray.pipelines.checkpoint import (
     completed_shards, run_checkpointed,
 )
 from ocr_sam_project_ray.pipelines.extraction import PipelineConfig
-from ocr_sam_project_ray.sources.synthetic import ensure_corpus
+from ocr_sam_project_ray.sources.synthetic import ensure_corpus, split_offsets_by_url
 
 SF = "/root/testdata/sf0.001"
 
@@ -24,12 +26,12 @@ def files():
     return sorted(glob.glob(os.path.join(paths["pages"], "*.parquet")))
 
 
-def _read_out(out_dir):
+def _read_out(out_dir, columns=("doc_id", "extracted_text", "success", "confidence")):
     df = (
         pads.dataset(
             glob.glob(os.path.join(out_dir, "shard=*", "*.parquet")), format="parquet"
         )
-        .to_table(columns=["doc_id", "extracted_text", "success", "confidence"])
+        .to_table(columns=list(columns))
         .to_pandas()
     )
     return df.sort_values("doc_id").reset_index(drop=True)
@@ -163,6 +165,77 @@ def test_torn_shard_is_redone(tmp_path, files):
     metrics = run_checkpointed(files, out, PipelineConfig(dedup_partitions=2), n_shards=2)
     assert metrics["shards_completed"] == 2
     pd.testing.assert_frame_equal(_read_out(out), expected)
+
+
+ANNOTATION_COLUMNS = [
+    "type_id", "type_label", "tramite", "departamento", "n_entities",
+    "priority", "urgent", "count_valid", "declared_count",
+]
+
+
+def _four_inputs(tmp_path, files):
+    """The corpus re-split into four url-aligned files (one shard each)."""
+    pages = pa.concat_tables([pq.read_table(f) for f in files])
+    inputs = []
+    for i, (lo, hi) in enumerate(split_offsets_by_url(pages, 4)):
+        inputs.append(str(tmp_path / f"part-{i:05d}.parquet"))
+        pq.write_table(pages.slice(lo, hi - lo), inputs[-1])
+    assert len(inputs) == 4
+    return inputs
+
+
+def test_concurrent_shard_failure_is_isolated(tmp_path, files):
+    """Four shards run concurrently and one input fails mid-execution (its
+    html column is gone, so the validate task raises): the call raises,
+    the other three shards still commit, the failed one leaves nothing
+    behind, and once the input is repaired a second call redoes only that
+    shard — ending in the uninterrupted run's output."""
+    inputs = _four_inputs(tmp_path, files)
+    cfg = PipelineConfig(dedup_partitions=2)
+    columns = ["doc_id", "extracted_text", "success", *ANNOTATION_COLUMNS]
+    run_checkpointed(inputs, str(tmp_path / "truth"), cfg, n_shards=4)
+    expected = _read_out(str(tmp_path / "truth"), columns)
+
+    broken = pq.read_table(inputs[2])
+    pq.write_table(broken.drop_columns(["html"]), inputs[2])
+    out = str(tmp_path / "out")
+    with pytest.raises(Exception, match="html"):
+        run_checkpointed(inputs, out, cfg, n_shards=4)
+    assert set(completed_shards(out)) == {"00000", "00001", "00003"}
+    assert not os.path.exists(os.path.join(out, "shard=00002"))
+    assert not os.path.exists(os.path.join(out, "lineage", "00002.json"))
+    assert not glob.glob(os.path.join(out, "**", "*.tmp.*"), recursive=True)
+    assert not os.path.exists(os.path.join(out, "metrics.json"))
+
+    lineage = os.path.join(out, "lineage")
+    mtimes = {n: os.stat(os.path.join(lineage, n)).st_mtime_ns for n in os.listdir(lineage)}
+    pq.write_table(broken, inputs[2])
+    metrics = run_checkpointed(inputs, out, cfg, n_shards=4)
+    assert metrics["shards_completed"] == 4
+    assert {
+        n: os.stat(os.path.join(lineage, n)).st_mtime_ns for n in mtimes
+    } == mtimes  # only shard 00002 was redone
+    pd.testing.assert_frame_equal(_read_out(out, columns), expected)
+
+
+def test_actor_path_shards_do_not_deadlock(tmp_path, files):
+    """Concurrent jobs' actor pools would hold every CPU and starve each
+    other's read tasks, so the actor path runs its shards one at a time."""
+    import threading
+
+    inputs = _four_inputs(tmp_path, files)
+    cfg = PipelineConfig(dedup_partitions=2, use_actors=True)
+    result = {}
+    job = threading.Thread(
+        target=lambda: result.update(
+            run_checkpointed(inputs, str(tmp_path / "out"), cfg, n_shards=4)
+        ),
+        daemon=True,
+    )
+    job.start()
+    job.join(timeout=300)
+    assert not job.is_alive(), "run_checkpointed hung on the actor path"
+    assert result["shards_completed"] == 4
 
 
 def _read_fragments(out_dir):

@@ -137,3 +137,21 @@ def test_curate_with_repair_and_split(tmp_path):
             for i in pq.read_table(f).to_pydict()["doc_id"]:
                 splits[i] = name
     assert splits == want
+
+
+def test_curate_string_doc_id_fails_loudly():
+    """Extraction's segment ids ("url#seg001") are strings; MinHash
+    near-dup keys its band rows by int64, so it must refuse them by name
+    instead of failing as an Arrow cast deep inside a task."""
+    rows = {"https://a.example/#seg001": GOOD, "https://b.example/#seg001": GOOD2}
+    ds = ray.data.from_arrow(
+        pa.table({"doc_id": list(rows), "text": list(rows.values())})
+    )
+    with pytest.raises(Exception) as err:
+        curate_corpus(ds, None, near_threshold=0.7, num_partitions=2)
+    # Ray re-raises the task's error as its own type, with the task's
+    # traceback in the message
+    assert (
+        "TypeError: MinHash near-dup needs an integer id column; "
+        "'doc_id' is string" in str(err.value)
+    )
