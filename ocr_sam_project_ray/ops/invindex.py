@@ -178,17 +178,27 @@ def phrase_search(
 
     configure_data_context()
     by_len: dict[int, list[str]] = {}
-    for p in phrases:
-        toks = p.split()
-        if not toks:
-            raise ValueError(f"empty phrase {p!r}")
-        by_len.setdefault(len(toks), []).append(" ".join(toks))
+    for p in _normalized_phrases(phrases):
+        by_len.setdefault(len(p.split()), []).append(p)
 
     def search(batch: pa.Table) -> pa.Table:
         return phrase_hits_batch(batch[id_col], batch[text_col],
                                  by_len, id_col)
 
     return ds.map_batches(search, batch_format="pyarrow", batch_size=None)
+
+
+def _normalized_phrases(phrases: list[str]) -> list[str]:
+    """Single-space-joined token runs of ``phrases``, first occurrence
+    kept: "a  b" and "a b" are one phrase, so a repeated phrase yields its
+    hit rows once, in ``phrase_search`` and ``sql_phrase_search`` alike."""
+    out = []
+    for p in phrases:
+        toks = p.split()
+        if not toks:
+            raise ValueError(f"empty phrase {p!r}")
+        out.append(" ".join(toks))
+    return list(dict.fromkeys(out))
 
 
 def phrase_hits_batch(id_arr, text_arr, by_len: dict,
@@ -251,11 +261,10 @@ def sql_phrase_search(phrases: list[str], table: str = "documents",
 
     toks_expr = f"string_split_regex(trim({text_col}), '\\s+')"
     selects = []
-    for p in phrases:
-        toks = p.split()
-        n = len(toks)
+    for p in _normalized_phrases(phrases):
+        n = len(p.split())
         gram = " || ' ' || ".join(f"ws[i+{j}]" for j in range(n))
-        lit = _sql_escape(" ".join(toks))
+        lit = _sql_escape(p)
         selects.append(f"""
         SELECT {id_col}, '{lit}' AS phrase,
                CAST(list_sum(list_transform(

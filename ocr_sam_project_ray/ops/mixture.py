@@ -295,8 +295,8 @@ def sql_temperature_mixture(
         ),
         b AS (
           SELECT source,
-                 ({int(total_tokens)} * wgt)
-                   // (SELECT sum(wgt) FROM w) AS budget
+                 coalesce(({int(total_tokens)} * wgt)
+                   // nullif((SELECT sum(wgt) FROM w), 0), 0) AS budget
           FROM w
         ),
         c AS (

@@ -188,6 +188,14 @@ def group_percent_rank(
                                 else pa.float64())
                     for c in out_cols}
             return pa.table(arrs)
+        value_type = batch.schema.field(value_col).type
+        if not pa.types.is_integer(value_type):
+            # the composite key is int64; a float column would truncate
+            # silently and tie distinct values
+            raise TypeError(
+                f"group_percent_rank needs an integer value column; "
+                f"{value_col!r} is {value_type}"
+            )
         if (batch[value_col].null_count or batch[group_col].null_count):
             # nulls would sort to segment end as NaN-derived garbage
             # keys and silently corrupt EVERY rank in the partition —

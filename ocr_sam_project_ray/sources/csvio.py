@@ -23,6 +23,7 @@ must stay parquet); timestamps round-trip through ISO strings.
 
 from __future__ import annotations
 
+import copy
 from typing import Optional, Sequence
 
 import ray.data
@@ -45,7 +46,8 @@ def read_csv(
     configure_data_context()
     if schema_overrides:
         kwargs = dict(kwargs)
-        co = kwargs.pop("convert_options", None) or pacsv.ConvertOptions()
+        # set the pins on a copy: the caller's ConvertOptions stays as passed
+        co = copy.copy(kwargs.pop("convert_options", None) or pacsv.ConvertOptions())
         co.column_types = {**(co.column_types or {}), **schema_overrides}
         kwargs["convert_options"] = co
     ds = ray.data.read_csv(paths, **kwargs)

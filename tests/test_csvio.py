@@ -67,3 +67,21 @@ def test_schema_override_pins_dtype(tmp_path):
     assert back["code"].tolist() == ["001", "010"]
     inferred = read_csv([str(p)]).to_pandas()
     assert inferred["code"].tolist() == [1, 10]
+
+
+def test_schema_override_leaves_caller_convert_options(tmp_path):
+    from pyarrow import csv as pacsv
+
+    p = tmp_path / "a.csv"
+    p.write_text("id,code,flag\n1,001,NA\n2,010,x\n")
+    co = pacsv.ConvertOptions(column_types={"id": pa.int32()},
+                              null_values=["NA"], strings_can_be_null=True)
+    back = read_csv([str(p)], schema_overrides={"code": pa.string()},
+                    convert_options=co).to_pandas()
+    # the caller's options and the pins both apply to the read ...
+    assert back["code"].tolist() == ["001", "010"]
+    assert str(back["id"].dtype) == "int32"
+    assert back["flag"].isna().tolist() == [True, False]
+    # ... and the caller's object is unchanged afterwards
+    assert co.column_types == {"id": pa.int32()}
+    assert co.null_values == ["NA"]

@@ -150,6 +150,37 @@ def test_phrase_search_matches_duckdb():
     assert len(got) > 0
 
 
+def test_phrase_search_duplicate_phrases_match_duckdb():
+    """A phrase given twice (or with other whitespace) is one phrase on
+    both sides: one hit row per (doc, phrase), as with the unique list."""
+    import pandas as pd
+
+    from ocr_sam_project_ray.ops.invindex import (
+        phrase_search, sql_phrase_search,
+    )
+
+    phrases = ["table part", "table  part", " a a", "a a", "table part"]
+    ds = ray.data.read_parquet(f"{SF}/documents.parquet",
+                               columns=["doc_id", "text"])
+    got = (
+        phrase_search(ds, phrases)
+        .to_pandas().sort_values(["phrase", "doc_id"])
+        .reset_index(drop=True)
+    )
+    con = duckdb.connect()
+    con.sql(f"CREATE VIEW documents AS SELECT * FROM "
+            f"read_parquet('{SF}/documents.parquet')")
+    exp = con.sql(sql_phrase_search(phrases)).df()
+    unique = con.sql(sql_phrase_search(["table part", "a a"])).df()
+    pd.testing.assert_frame_equal(exp, unique)
+    got["doc_id"] = got["doc_id"].astype("int64")
+    exp["doc_id"] = exp["doc_id"].astype("int64")
+    exp["n_hits"] = exp["n_hits"].astype("int64")
+    pd.testing.assert_frame_equal(got, exp.reset_index(drop=True))
+    assert not got.duplicated(["doc_id", "phrase"]).any()
+    assert len(got) > 0
+
+
 def test_phrase_search_rejects_empty_phrase():
     import pytest
 

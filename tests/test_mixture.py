@@ -169,6 +169,37 @@ def test_temperature_mixture_matches_sql_chain():
     assert len(got) > 0
 
 
+def test_temperature_mixture_all_empty_corpus_matches_sql():
+    """Every text empty: every weight is 0, the Python twin gives each
+    source a budget of 0 and admits the zero-token docs (cum 0 <= 0); the
+    SQL twin must not divide by a zero weight sum into NULL budgets."""
+    from ocr_sam_project_ray.ops.mixture import (
+        sql_temperature_mixture, temperature_mixture_sample,
+    )
+
+    tbl = pa.table({
+        "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+        "text": pa.array(["", "  ", "", " "], pa.string()),
+        "source": pa.array(["web", "web", "code", "code"], pa.string()),
+    })
+    got = (
+        temperature_mixture_sample(ray.data.from_arrow(tbl), 300,
+                                   num_partitions=2)
+        .to_pandas().sort_values("doc_id").reset_index(drop=True)
+    )
+    con = duckdb.connect()
+    con.register("documents", tbl)
+    exp = (
+        con.execute(sql_temperature_mixture(300)).df()
+        .sort_values("doc_id").reset_index(drop=True)
+    )
+    for c in ("doc_id", "n_tokens", "cum_tokens"):
+        got[c] = got[c].astype("int64")
+        exp[c] = exp[c].astype("int64")
+    pd.testing.assert_frame_equal(got, exp)
+    assert list(got["doc_id"]) == [1, 2, 3, 4]
+
+
 def test_sql_isqrt_correction_is_exact():
     """The ±1-corrected floor(sqrt) must equal math.isqrt at perfect
     squares and their neighbors (where raw float sqrt flips)."""

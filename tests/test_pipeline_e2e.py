@@ -3,12 +3,17 @@ reproduce the generator's composed expectations byte-for-byte (the
 byte-identical extracted-text contract), including error rows, dedup, and
 annotation columns. Also: dedup idempotence and order independence."""
 
+import threading
+
 import pandas as pd
 import pyarrow.parquet as pq
 import pytest
+import ray.data
+from ray.data import DataContext
 
 from ocr_sam_project_ray.pipelines.extraction import (
-    PipelineConfig, batch_rollup, project_persons, read_pages, run_extraction,
+    PipelineConfig, batch_rollup, build_extraction, project_persons,
+    read_pages, run_extraction,
 )
 from ocr_sam_project_ray.sources.synthetic import ensure_corpus
 
@@ -110,3 +115,73 @@ def test_order_independence_and_idempotence(annotated):
     assert list(a.doc_id) == list(b.doc_id)
     assert list(a.extracted_text) == list(b.extracted_text)
     assert list(a.confidence) == list(b.confidence)
+
+
+def _reserved(ds) -> bool:
+    return ds.context.op_resource_reservation_enabled
+
+
+def test_extraction_plan_runs_without_reservation():
+    """The read -> task-map extraction plan turns the per-operator
+    reservation off on its own context copy: the caller's input and the
+    session context keep it, and a groupby appended downstream gets it
+    back."""
+    pages = ensure_corpus(SF)["pages"]
+    src = ray.data.read_parquet(pages)
+    out = build_extraction(src, PipelineConfig(dedup_partitions=2), pages_path=pages)
+    assert not _reserved(out)
+    assert _reserved(src)
+    assert DataContext.get_current().op_resource_reservation_enabled
+    assert not _reserved(project_persons(out))
+    assert _reserved(batch_rollup(out, num_partitions=2))
+    assert not _reserved(out)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        PipelineConfig(dedup_partitions=2, use_actors=True),
+        PipelineConfig(dedup_partitions=2, dedup_mode="shuffle"),
+        PipelineConfig(dedup_partitions=2, dedup_mode="none", bucket_sort=True),
+    ],
+    ids=["actors", "shuffle_dedup", "bucket_sort"],
+)
+def test_actor_and_all_to_all_plans_keep_reservation(cfg):
+    pages = ensure_corpus(SF)["pages"]
+    assert _reserved(build_extraction(ray.data.read_parquet(pages), cfg, pages_path=pages))
+
+
+@pytest.mark.parametrize("upstream", ["groupby", "join"])
+def test_input_with_all_to_all_keeps_reservation(upstream):
+    """The whole plan counts, not only the operators build_extraction adds."""
+    pages = ensure_corpus(SF)["pages"]
+    src = ray.data.read_parquet(pages)
+    if upstream == "groupby":
+        src = src.groupby("url", num_partitions=2).map_groups(
+            lambda g: g, batch_format="pyarrow"
+        )
+    else:
+        urls = ray.data.read_parquet(pages, columns=["url"])
+        src = src.join(urls, "left_semi", num_partitions=2, on=("url",))
+    out = build_extraction(src, PipelineConfig(dedup_mode="none"))
+    assert _reserved(out)
+    assert not _reserved(build_extraction(ray.data.read_parquet(pages),
+                                          PipelineConfig(dedup_mode="none")))
+
+
+def test_actor_path_extraction_finishes(annotated):
+    """The actor path keeps the reservation, so its pool cannot take every
+    CPU from the read: one job finishes."""
+    pages = ensure_corpus(SF)["pages"]
+    cfg = PipelineConfig(dedup_partitions=2, use_actors=True)
+    result = {}
+    job = threading.Thread(
+        target=lambda: result.update(
+            rows=build_extraction(ray.data.read_parquet(pages), cfg, pages_path=pages).count()
+        ),
+        daemon=True,
+    )
+    job.start()
+    job.join(timeout=300)
+    assert not job.is_alive(), "the actor-path extraction job hung"
+    assert result["rows"] == len(annotated)

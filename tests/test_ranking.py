@@ -177,6 +177,27 @@ def test_group_percent_rank_null_guard():
         ).to_pandas()
 
 
+def test_group_percent_rank_rejects_float_values():
+    """The kernel ranks on an int64 composite key; a float value column
+    would truncate (1.2 and 1.7 would tie), so it is refused by name."""
+    from ocr_sam_project_ray.ops.ranking import group_percent_rank
+
+    tbl = pa.table({
+        "id": pa.array([1, 2], pa.int64()),
+        "g": pa.array(["a", "a"], pa.string()),
+        "v": pa.array([1.2, 1.7], pa.float64()),
+    })
+    with pytest.raises(Exception) as err:
+        group_percent_rank(
+            ray.data.from_arrow(tbl), group_col="g", value_col="v",
+        ).to_pandas()
+    # Ray re-raises the task's error with its traceback in the message
+    assert (
+        "TypeError: group_percent_rank needs an integer value column; "
+        "'v' is double" in str(err.value)
+    )
+
+
 def test_group_percent_rank_empty_input():
     from ocr_sam_project_ray.ops.ranking import group_percent_rank
 
