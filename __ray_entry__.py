@@ -37,9 +37,15 @@ def _cfg():
 def _annotated(sf_dir: str):
     key = ("annotated", sf_dir)
     if key not in _CACHE:
-        from ocr_sam_project_ray.pipelines.extraction import run_extraction
+        from ocr_sam_project_ray.pipelines.extraction import (
+            _scope_reservation,
+            run_extraction,
+        )
 
-        _CACHE[key] = run_extraction(sf_dir, _cfg()).materialize()
+        # materialized, the output is an in-memory source: scoping gives it
+        # the session's per-operator reservation back, so the groupby, join
+        # and sort queries over it do not inherit the extraction's setting
+        _CACHE[key] = _scope_reservation(run_extraction(sf_dir, _cfg()).materialize())
     return _CACHE[key]
 
 

@@ -59,6 +59,9 @@ TRIGGERS: list[tuple[str, int]] = [
     ("investigación", 10),
 ]
 
+_TRIGGER_TYPE = dict(TRIGGERS)
+assert len(_TRIGGER_TYPE) == len(TRIGGERS)  # each trigger keyword once
+
 UNCLASSIFIED = (0, "No clasificado", "No clasificado", "No clasificado")
 
 # High-priority / urgent type keywords (crm_integrator/app.py:411-414, 437-440)
@@ -89,6 +92,15 @@ def matched_keywords(text: str, low: str = None) -> list[str]:
         if kw in low and kw not in seen:
             seen.append(kw)
     return seen
+
+
+def classify_keywords(keywords: list[str]) -> tuple[int, str, str, str]:
+    """:func:`classify_text` from :func:`matched_keywords`' output: that list
+    is the trigger hits in table order, so its first entry is the first hit
+    (one pass over TRIGGERS serves both columns)."""
+    if not keywords:
+        return UNCLASSIFIED
+    return TAXONOMY_BY_ID[_TRIGGER_TYPE[keywords[0]]]
 
 
 def priority_for(tipo_oficio: str, monto_total: float) -> str:

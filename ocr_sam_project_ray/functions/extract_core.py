@@ -2,7 +2,13 @@
 span/entity annotation, classification, validation and confidence scoring.
 
 Pure deterministic functions over the canonical ``extracted_text`` — no Ray,
-no I/O. Behavioral parity targets in /root/reference:
+no I/O. ``annotate_texts`` is the batch annotate kernel the annotate stage
+runs: it finds the digit runs of a whole batch in one numpy pass and tries
+each digit-anchored pattern only where a match can start. The standalone
+per-text extractors (``annotate_segment``, ``_extract_spans_direct``,
+``extract_basic_info``, ``extract_fecha``, ...) are its reference forms,
+and the equality tests compare the two. Behavioral parity targets in the
+reference implementation:
 
 - metadata parse + defaults: src/services/metadata_service.py:49-123
 - separator split incl. tail segment: src/services/pdf_service.py:106-147
@@ -19,12 +25,12 @@ no I/O. Behavioral parity targets in /root/reference:
 
 from __future__ import annotations
 
-import re
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
+
+import numpy as np
 
 from . import patterns as P
-from .classify import classify_text, matched_keywords
-from .textops import parse_monto
+from .classify import classify_keywords, classify_text, matched_keywords
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +179,8 @@ def validate_count(extracted: int, declared: int) -> tuple[bool, str, str]:
 # ---------------------------------------------------------------------------
 
 def _extract_spans_direct(text: str) -> list[dict[str, Any]]:
+    """Reference form of :func:`extract_spans`: six whole-text ``finditer``
+    passes (kept for the equality tests)."""
     spans: list[dict[str, Any]] = []
     for field, pat in P.PANAMA_PATTERNS.items():
         for m in pat.finditer(text):
@@ -182,83 +190,159 @@ def _extract_spans_direct(text: str) -> list[dict[str, Any]]:
     return spans
 
 
-_DIGIT_RUN = re.compile(r"\d+")
-# Every PANAMA_PATTERNS match contains at least one digit, and no match
-# extends more than a few dozen chars beyond its digits (prefixes like
-# "No. " / "B/. " plus bounded whitespace).  256 gives a wide safety
-# margin, and any match that still touches a window edge triggers the
-# exact direct path.
-_SPAN_WINDOW_MARGIN = 256
+# Where a match can start. The batch kernel finds the runs of ``\d`` in all
+# texts of a batch in one numpy pass, and tries each pattern with
+# ``Pattern.match(text, p)`` only at the positions p below. A ``\d{m,n}``
+# that stops short of a run's end is followed by a digit, so when a pattern
+# needs '-', '/' or whitespace after its first digits, those digits are the
+# whole run:
+#   cedula    ``\b\d{1,2}-``     starts a run of <= 2 digits followed by '-'
+#   ruc       ``\b\d{1,3}-``     starts a run of <= 3 digits followed by '-'
+#   phone     ``\b\d{3}-``       starts a run of exactly 3 digits followed by '-'
+#   date_es   ``\b\d{1,2}\s``    starts a run of <= 2 digits followed by whitespace
+#   oficio_number  ``(?:JE-|DJ-|No\.?)\s*\d{1,6}(?:-\d{4})?\b``: its digits
+#             are a whole run of <= 6 (a longer run fails the ``\b``); walking
+#             left from the run over whitespace to j, the prefix ends at j-1,
+#             in 'o'/'O' ("No", starts at j-2) or in '-'/'.' (the other
+#             three, start at j-3)
+#   money     ``\bB/``           each "B/" or "b/"
+#   BASIC_DATE ``\d{1,2}[/-]``   (no ``\b``) e-2 or e-1 of a run ending at e
+#             that is followed by '/' or '-'; only the first match is kept
+# ``match`` at p sees the text before p, as ``finditer`` does, so trying the
+# candidates in order and skipping any that lies before the previous
+# match's end gives ``finditer``'s matches exactly. ``\d`` is
+# ``str.isdecimal``, ``\s`` is ``str.isspace``, and under re.IGNORECASE the
+# prefix letters match only their ASCII pair (all enumerated over every
+# code point in test_patterns).
+_LATIN1_SPACE = np.array([chr(c).isspace() for c in range(256)])
 
 
-def _extend_left(text: str, a: int) -> int:
-    """Walk a window start left across long-whitespace bridges.
+def _isspace(codes: np.ndarray) -> np.ndarray:
+    """``str.isspace`` of each code point."""
+    if codes.dtype == np.uint8:
+        return _LATIN1_SPACE[codes]
+    return np.array([chr(c).isspace() for c in codes.tolist()], bool)
 
-    The only unbounded parts of PANAMA_PATTERNS are ``\\s*``/``\\s+`` runs
-    (money/oficio prefixes, date_es interiors); every other component is
-    ≤16 chars.  A match can therefore reach left of ``digit-256`` only via
-    whitespace runs, and a pattern has at most 5 such slots.  Each hop
-    skips one run (only if ≥8 chars — normal prose never has that, so the
-    loop exits immediately on real text) plus one ≤16-char token.
-    """
-    for _ in range(6):
-        j = a
-        while j > 0 and text[j - 1].isspace():
+
+def _isin(codes: np.ndarray, chars: str) -> np.ndarray:
+    """Whether each code point is one of ``chars``."""
+    out = codes == ord(chars[0])
+    for c in chars[1:]:
+        out |= codes == ord(c)
+    return out
+
+
+class _Scan(NamedTuple):
+    # field -> (text index, offset) of each candidate start, in text order
+    starts: dict[str, tuple[list[int], list[int]]]
+    # (text index, start, end) of each digit run followed by '/' or '-'
+    date_runs: tuple[list[int], list[int], list[int]]
+    # per text: it contains a ``\d+-\d+-\d+`` triple
+    has_triple: list[bool]
+
+
+def _scan(texts: list[str]) -> _Scan:
+    """Digit runs of a batch, and the candidate starts of every pattern."""
+    joined = "\x00" + "\x00".join(texts) + "\x00"
+    try:  # one byte per code point when every one of them is below 256
+        codes = np.frombuffer(joined.encode("latin-1"), np.uint8)
+    except UnicodeEncodeError:
+        codes = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), np.uint32)
+    digit = (codes - ord("0")) < 10  # unsigned: wraps round below '0'
+    high = np.flatnonzero(codes >= 128)
+    if high.size:
+        decimals = [c for c in np.unique(codes[high]).tolist() if chr(c).isdecimal()]
+        if decimals:
+            digit[high] |= np.isin(codes[high], decimals)
+    # the "\x00" before and after every text ends each run inside its text
+    edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    run_start, run_end = edges[0::2], edges[1::2]
+    base = np.cumsum([1] + [len(t) + 1 for t in texts])[:-1]
+    tid = np.searchsorted(base, run_start, "right") - 1
+    local = run_start - base[tid]
+    length = run_end - run_start
+    after, before = codes[run_end], codes[run_start - 1]
+    dash = after == ord("-")
+
+    def pick(mask: np.ndarray) -> tuple[list[int], list[int]]:
+        i = np.flatnonzero(mask)
+        return tid[i].tolist(), local[i].tolist()
+
+    starts = {
+        "cedula": pick((length <= 2) & dash),
+        "ruc": pick((length <= 3) & dash),
+        "phone": pick((length == 3) & dash),
+        "date_es": pick((length <= 2) & _isspace(after)),
+    }
+    oficio_t, oficio_p = [], []
+    for t, s in zip(*pick(
+        (length <= 6) & (_isspace(before) | _isin(before, "-.oO"))
+    )):
+        text = texts[t]
+        j = s
+        while j and text[j - 1].isspace():
             j -= 1
-        if a - j < 8:
-            break
-        k = j
-        while k > 0 and not text[k - 1].isspace() and j - k < 16:
-            k -= 1
-        a = k
-    return a
+        if j >= 2 and text[j - 1] in "-.oO":
+            oficio_t.append(t)
+            oficio_p.append(j - 2 if text[j - 1] in "oO" else j - 3)
+    starts["oficio_number"] = (oficio_t, oficio_p)
+    slash = np.flatnonzero(codes == ord("/"))
+    b = slash[_isin(codes[slash - 1], "Bb")] - 1
+    b_tid = np.searchsorted(base, b, "right") - 1
+    starts["money"] = (b_tid.tolist(), (b - base[b_tid]).tolist())
+
+    i = np.flatnonzero(dash | (after == ord("/")))
+    date_runs = (tid[i].tolist(), local[i].tolist(), (local + length)[i].tolist())
+    # run k, '-', run k+1, '-', run k+2, with nothing in between
+    link = dash[:-1] & (run_start[1:] == run_end[:-1] + 1)
+    has_triple = np.zeros(len(texts), bool)
+    has_triple[tid[:-2][link[:-1] & link[1:]]] = True
+    return _Scan(starts, date_runs, has_triple.tolist())
+
+
+def _spans(texts: list[str], starts) -> list[list[dict[str, Any]]]:
+    """Every text's PANAMA_PATTERNS matches, in (pattern, position) order,
+    tried only at the candidate ``starts``."""
+    spans: list[list[dict[str, Any]]] = [[] for _ in texts]
+    for field, pat in P.PANAMA_PATTERNS.items():
+        cur, resume, text = -1, 0, ""
+        for t, p in zip(*starts[field]):
+            if t != cur:
+                cur, resume, text = t, 0, texts[t]
+            if p < resume:
+                continue
+            m = pat.match(text, p)
+            if m is None:
+                resume = p + 1
+            else:
+                resume = m.end()
+                spans[t].append({"field": field, "start": p, "end": resume, "text": m.group(0)})
+    return spans
+
+
+def _first_basic_dates(texts: list[str], date_runs) -> list[Optional[str]]:
+    """Per text, group 1 of the first ``BASIC_DATE`` match, or None.
+
+    A match at e-1 continues exactly as one at e-2 does from the '/' or
+    '-' at e, so one try at the leftmost of the two decides the run."""
+    found: list[Optional[str]] = [None] * len(texts)
+    for t, s, e in zip(*date_runs):
+        if found[t] is None:
+            m = P.BASIC_DATE.match(texts[t], max(s, e - 2))
+            if m:
+                found[t] = m.group(1)
+    return found
 
 
 def extract_spans(text: str) -> list[dict[str, Any]]:
     """All Panamanian-pattern matches as span annotations, in fixed
     (pattern-order, position) order. Fields mirror ocr_service.py:746-753.
 
-    Fast path: all six patterns anchor on digits, so the scan runs only
-    over merged ±256-char windows around digit runs (~8% of corpus text)
-    instead of six full passes.  Window boundaries cannot change ``\\b``
-    evaluation for matches strictly inside a window; a match touching a
-    window edge (would need >256 chars of digitless run-on) falls back to
-    the direct whole-text scan.  Output is byte-identical to the direct
-    path (equality-tested over the corpus in test_patterns).
+    Each pattern is tried only where a match can start (see ``_scan``);
+    the result equals :func:`_extract_spans_direct` (equality-tested over
+    the corpus, adversarial cases and a fuzz).
     """
-    n = len(text)
-    if n <= 4 * _SPAN_WINDOW_MARGIN:
-        return _extract_spans_direct(text)
-    wins: list[list[int]] = []
-    for m in _DIGIT_RUN.finditer(text):
-        a, b = m.start() - _SPAN_WINDOW_MARGIN, m.end() + _SPAN_WINDOW_MARGIN
-        if a > 0:
-            a = _extend_left(text, a)
-        if wins and a <= wins[-1][1]:
-            if b > wins[-1][1]:
-                wins[-1][1] = b
-        else:
-            wins.append([a if a > 0 else 0, b])
-    if not wins:
-        return []
-    if wins[-1][1] > n:
-        wins[-1][1] = n
-    spans: list[dict[str, Any]] = []
-    for field, pat in P.PANAMA_PATTERNS.items():
-        for a, b in wins:
-            chunk = text[a:b]
-            for m in pat.finditer(chunk):
-                if (m.start() == 0 and a > 0) or (m.end() == b - a and b < n):
-                    return _extract_spans_direct(text)
-                spans.append(
-                    {
-                        "field": field,
-                        "start": a + m.start(),
-                        "end": a + m.end(),
-                        "text": m.group(0),
-                    }
-                )
-    return spans
+    return _spans([text], _scan([text]).starts)[0]
 
 
 # Necessary-literal guards for BASIC_AUTORIDAD (juzgado / tribunal /
@@ -280,6 +364,19 @@ _AUTORIDAD_GUARDS: tuple[tuple[str, ...], ...] = (
 assert len(_AUTORIDAD_GUARDS) == len(P.BASIC_AUTORIDAD)
 
 
+def _oficio_autoridad(text: str, low: str) -> tuple[Optional[str], Optional[str]]:
+    """First oficio-number capture and first authority capture."""
+    m = P.BASIC_OFICIO.search(text)
+    numero_oficio = m.group(1) if m else None
+    for guards, pat in zip(_AUTORIDAD_GUARDS, P.BASIC_AUTORIDAD):
+        if not any(g in low for g in guards):
+            continue
+        m = pat.search(text)
+        if m:
+            return numero_oficio, m.group(1)
+    return numero_oficio, None
+
+
 def extract_basic_info(text: str, low: str = None) -> dict[str, Optional[str]]:
     """Fallback info extraction (ocr_processor/app.py:547-582):
     first oficio-number match, first authority match, first numeric date.
@@ -291,23 +388,13 @@ def extract_basic_info(text: str, low: str = None) -> dict[str, Optional[str]]:
     """
     if low is None:
         low = text.lower()
-    info: dict[str, Optional[str]] = {
-        "numero_oficio": None, "autoridad": None, "fecha_emision": None,
-    }
-    m = P.BASIC_OFICIO.search(text)
-    if m:
-        info["numero_oficio"] = m.group(1)
-    for guards, pat in zip(_AUTORIDAD_GUARDS, P.BASIC_AUTORIDAD):
-        if not any(g in low for g in guards):
-            continue
-        m = pat.search(text)
-        if m:
-            info["autoridad"] = m.group(1)
-            break
+    numero_oficio, autoridad = _oficio_autoridad(text, low)
     m = P.BASIC_DATE.search(text)  # only the first match is used
-    if m:
-        info["fecha_emision"] = m.group(1)
-    return info
+    return {
+        "numero_oficio": numero_oficio,
+        "autoridad": autoridad,
+        "fecha_emision": m.group(1) if m else None,
+    }
 
 
 def extract_fecha(text: str) -> Optional[str]:
@@ -441,31 +528,33 @@ def accept_result(
 # Whole-segment annotation
 # ---------------------------------------------------------------------------
 
-def annotate_segment(text: str) -> dict[str, Any]:
-    """Full annotation of one segment's extracted text → flat dict of the
-    output columns (schema assembled by the stage wrapper)."""
-    low = text.lower()
-    info = extract_basic_info(text, low=low)
-    fecha = extract_fecha(text)
-    entities = extract_entities(text)
-    type_id, label, tramite, departamento = classify_text(text, low=low)
-    keywords = matched_keywords(text, low=low)
-    spans = extract_spans(text)
-    monto_total = float(sum(e["monto_numerico"] for e in entities))
-
-    has_structured = bool(type_id > 0 or entities or info["numero_oficio"])
+def _annotation(
+    text: str,
+    numero_oficio: Optional[str],
+    autoridad: Optional[str],
+    fecha: Optional[str],
+    fecha_emision: Optional[str],
+    keywords: list[str],
+    classification: tuple[int, str, str, str],
+    spans: list[dict[str, Any]],
+    entities: list[dict[str, Any]],
+    should_have_persons: bool,
+) -> dict[str, Any]:
+    """The flat dict of output columns from one segment's extracted fields."""
+    type_id, label, tramite, departamento = classification
+    has_structured = bool(type_id > 0 or entities or numero_oficio)
     validation = (
-        validate_panamanian(info["numero_oficio"], fecha, entities)
+        validate_panamanian(numero_oficio, fecha, entities)
         if has_structured
         else None
     )
     confidence = derive_confidence(bool(text), has_structured, validation)
 
     return {
-        "numero_oficio": info["numero_oficio"] or "",
-        "autoridad": info["autoridad"] or "",
+        "numero_oficio": numero_oficio or "",
+        "autoridad": autoridad or "",
         "fecha": fecha or "",
-        "fecha_emision": info["fecha_emision"] or "",
+        "fecha_emision": fecha_emision or "",
         "type_id": type_id,
         "type_label": label,
         "tramite": tramite,
@@ -474,9 +563,74 @@ def annotate_segment(text: str) -> dict[str, Any]:
         "spans": spans,
         "entities": entities,
         "n_entities": len(entities),
-        "monto_total": monto_total,
-        "should_have_persons": P.should_have_persons(text, low=low),
+        "monto_total": float(sum(e["monto_numerico"] for e in entities)),
+        "should_have_persons": should_have_persons,
         "confidence_score": validation["confidence_score"] if validation else 0.0,
         "validation_passed": bool(validation and validation["validation_passed"]),
         "confidence": confidence,
     }
+
+
+def annotate_segment(text: str) -> dict[str, Any]:
+    """Full annotation of one segment's extracted text → flat dict of the
+    output columns (schema assembled by the stage wrapper).
+
+    Reference form of :func:`annotate_texts`, built from the standalone
+    extractors and :func:`_extract_spans_direct` (kept for the equality
+    tests)."""
+    low = text.lower()
+    info = extract_basic_info(text, low=low)
+    return _annotation(
+        text,
+        info["numero_oficio"],
+        info["autoridad"],
+        extract_fecha(text),
+        info["fecha_emision"],
+        matched_keywords(text, low=low),
+        classify_text(text, low=low),
+        _extract_spans_direct(text),
+        extract_entities(text),
+        P.should_have_persons(text, low=low),
+    )
+
+
+def annotate_texts(texts: list[str]) -> list[dict[str, Any]]:
+    """:func:`annotate_segment` of each text, as one batch kernel.
+
+    The digit runs of the whole batch are found once (``_scan``); the span
+    patterns and ``BASIC_DATE`` run only where a match can start, ``fecha``
+    reuses the first ``date_es`` span or else that first ``BASIC_DATE``
+    match, and ``PERSON_ROW`` and the cedula + monto indicator, which both
+    need a ``\\d+-\\d+-\\d+`` triple, run only on texts that have one.
+    One pass over the trigger table gives both the keywords and the class.
+    Output equals ``annotate_segment`` per text (equality-tested over the
+    corpus and a fuzz of mixed batches).
+    """
+    scan = _scan(texts)
+    spans = _spans(texts, scan.starts)
+    basic_dates = _first_basic_dates(texts, scan.date_runs)
+    out = []
+    for text, text_spans, basic_date, triple in zip(
+        texts, spans, basic_dates, scan.has_triple
+    ):
+        low = text.lower()
+        numero_oficio, autoridad = _oficio_autoridad(text, low)
+        fecha = next(
+            (s["text"] for s in text_spans if s["field"] == "date_es"), basic_date
+        )
+        keywords = matched_keywords(text, low=low)
+        out.append(
+            _annotation(
+                text,
+                numero_oficio,
+                autoridad,
+                fecha,
+                basic_date,
+                keywords,
+                classify_keywords(keywords),
+                text_spans,
+                extract_entities(text) if triple else [],
+                P.table_indicator_hit(low, may_have_triple=triple),
+            )
+        )
+    return out

@@ -69,8 +69,9 @@ TABLE_INDICATORS: list[re.Pattern] = [
 # upper/lower pair — verified by enumerating the whole codepoint space; '°'
 # and 'º' have no case pair at all); 'i' and 's' never appear in guards
 # because U+0131 'ı' and U+017F 'ſ' also fold to them, hence 'tado' for
-# listado and the explicit 'ı' variants for c.i.p. An empty conjunction means
-# "always scan".
+# listado and the explicit 'ı' variants for c.i.p. The last indicator (cedula
+# + monto) has no literal guard; it needs a ``\d+-\d+-\d+`` triple instead,
+# which the batch annotate kernel finds from its digit runs.
 _TABLE_INDICATOR_GUARDS: list[tuple[tuple[str, ...], ...]] = [
     (("agente",),),                                # agente\s+económico
     (("empleador",),),                             # empleador
@@ -82,12 +83,19 @@ _TABLE_INDICATOR_GUARDS: list[tuple[tuple[str, ...], ...]] = [
     (("|",), ("nombre",)),                         # \|\s*nombre
     (("tabla",),),                                 # tabla.*persona
     (("tado",),),                                  # listado.*cliente
-    (),                                            # cedula+monto digit line
 ]
-assert len(_TABLE_INDICATOR_GUARDS) == len(TABLE_INDICATORS)
+# The literal every match of an indicator starts with, where there is one
+# (fold-clean letters only, as above): a match can then start only at an
+# occurrence of it in ``low``, and the regex is tried only there.
+_TABLE_INDICATOR_LEADS: list[str | None] = [
+    "agente", "empleador", None, None, None, "monto", "|", "tabla", None,
+]
+assert len(_TABLE_INDICATOR_GUARDS) == len(TABLE_INDICATORS) - 1
+assert len(_TABLE_INDICATOR_LEADS) == len(_TABLE_INDICATOR_GUARDS)
 _TABLE_INDICATORS_GUARDED: list[
-    tuple[tuple[tuple[str, ...], ...], re.Pattern]
-] = list(zip(_TABLE_INDICATOR_GUARDS, TABLE_INDICATORS))
+    tuple[tuple[tuple[str, ...], ...], str | None, re.Pattern]
+] = list(zip(_TABLE_INDICATOR_GUARDS, _TABLE_INDICATOR_LEADS, TABLE_INDICATORS))
+CEDULA_MONTO_LINE = TABLE_INDICATORS[-1]
 
 # --- First-page / config-block metadata (metadata_service.py:56-87) --------
 # Matched against lowercased text with line structure preserved (see module
@@ -201,14 +209,32 @@ def should_have_persons(text: str, low: str = None) -> bool:
     """
     if low is None:
         low = text.lower()
-    for guards, pat in _TABLE_INDICATORS_GUARDED:
-        if guards and not all(
-            any(g in low for g in group) for group in guards
-        ):
+    return table_indicator_hit(low, may_have_triple=True)
+
+
+def table_indicator_hit(low: str, may_have_triple: bool) -> bool:
+    """:func:`should_have_persons` over ``low`` (``text.lower()``).
+
+    Pass ``may_have_triple=False`` only when the text has no
+    ``\\d+-\\d+-\\d+`` triple: the cedula + monto indicator cannot match
+    then, and its unguarded whole-text scan is skipped. ``lower()`` maps
+    decimals and '-' to themselves and no other character to either
+    (enumerated in test_patterns), so the text and ``low`` have the same
+    triples.
+    """
+    for guards, lead, pat in _TABLE_INDICATORS_GUARDED:
+        if not all(any(g in low for g in group) for group in guards):
             continue
-        if pat.search(low):
-            return True
-    return False
+        if lead is None:
+            if pat.search(low):
+                return True
+            continue
+        i = low.find(lead)
+        while i >= 0:
+            if pat.match(low, i):
+                return True
+            i = low.find(lead, i + 1)
+    return may_have_triple and CEDULA_MONTO_LINE.search(low) is not None
 
 
 def should_have_persons_reference(text: str, low: str = None) -> bool:

@@ -1,14 +1,17 @@
-"""Span / entity / classification / confidence annotation stage (actor pool).
+"""Span / entity / classification / confidence annotation stage.
 
-Wraps functions/extract_core.annotate_segment over Arrow batches, producing
-the typed output columns of FIXTURES.md §2: ``spans`` and ``entities`` as
-Arrow list<struct>, classification struct fields, keywords, validation score
-and the confidence ladder. Parity targets are cited in
+Runs the batch kernel functions/extract_core.annotate_texts once per Arrow
+batch, over the rows that parsed and have text, producing the typed output
+columns of FIXTURES.md §2: ``spans`` and ``entities`` as Arrow
+list<struct>, classification struct fields, keywords, validation score and
+the confidence ladder. Parity targets are cited in
 functions/extract_core.py (ocr_service.py:726-827, post_ocr_validator.py,
 ocr_processor/app.py:547-582, crm_integrator/app.py:404-447).
 
-Run as ``map_batches(SpanAnnotator, concurrency=(min,max),
-batch_format="pyarrow")`` — regex state is warm per actor.
+The pipelines run it as a stateless task (``annotate_batch``, also called by
+the fused stage); ``SpanAnnotator`` is the callable class that
+``map_batches(..., concurrency=(min, max))`` runs as an actor pool on the
+unfused wiring with ``PipelineConfig.use_actors`` set.
 """
 
 from __future__ import annotations
@@ -57,13 +60,11 @@ class SpanAnnotator:
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = batch["extracted_text"].to_pylist()
         success = batch["success"].to_pylist()
-        anns = []
-        for ok, text in zip(success, texts):
-            if ok and text:
-                anns.append(core.annotate_segment(text))
-                self.segments_annotated += 1
-            else:
-                anns.append(_EMPTY_ANNOTATION)
+        rows = [i for i, (ok, text) in enumerate(zip(success, texts)) if ok and text]
+        anns = [_EMPTY_ANNOTATION] * len(texts)
+        for i, ann in zip(rows, core.annotate_texts([texts[i] for i in rows])):
+            anns[i] = ann
+        self.segments_annotated += len(rows)
 
         def col(name):
             return [a[name] for a in anns]

@@ -51,8 +51,9 @@ class TextScorer:
             collapsed = " ".join(text[:take].split())
         summary = collapsed[:k]
         risk = len(self.kw.findall(text.lower()))
-        # identical match set to six full finditer passes — extract_spans'
-        # digit-window fast path is equality-pinned in test_patterns
+        # identical match set to six full finditer passes — extract_spans
+        # tries each pattern only where a match can start, equality-pinned
+        # against _extract_spans_direct in test_patterns
         covered = sum(s["end"] - s["start"] for s in extract_spans(text))
         density_ppm = int(covered * 1_000_000 / len(text)) if text else 0
         return summary, risk, density_ppm

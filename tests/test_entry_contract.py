@@ -69,6 +69,20 @@ def test_entry_smoke(entry_mod):
     assert "extracted_text" in ds.schema().names
 
 
+def test_cached_annotated_dataset_keeps_reservation(entry_mod):
+    """The cached extraction output is an in-memory source: it and the
+    shuffles the queries run over it keep the session's per-operator
+    reservation instead of the extraction plan's reservation-off context."""
+    from ray.data import DataContext
+
+    assert DataContext.get_current().op_resource_reservation_enabled
+    ds = entry_mod._annotated(SF)
+    assert ds.context.op_resource_reservation_enabled
+    grouped = ds.groupby("url", num_partitions=2).count()
+    assert grouped.context.op_resource_reservation_enabled
+    assert grouped.count() > 0
+
+
 def test_every_query_has_callable_and_runs(entry_mod, con, oracles_001):
     qs = entry_mod.queries()
     assert len(qs) >= 25

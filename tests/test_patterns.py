@@ -125,15 +125,7 @@ def test_should_have_persons():
     assert not P.should_have_persons("texto sin indicadores de tabla")
 
 
-def test_extract_spans_windowed_equals_direct_corpus():
-    """The digit-window fast path in extract_spans must be byte-identical
-    to the direct six-pass scan — over real corpus segment texts plus
-    adversarial edge cases (matches at text start/end, long digitless
-    gaps, window-merge boundaries)."""
-    from ocr_sam_project_ray.functions.extract_core import (
-        _extract_spans_direct,
-        extract_spans,
-    )
+def _corpus_texts():
     from ocr_sam_project_ray.sources.synthetic import ensure_corpus
 
     import glob as _glob
@@ -141,33 +133,142 @@ def test_extract_spans_windowed_equals_direct_corpus():
     import pyarrow.parquet as pq
 
     p = ensure_corpus("/root/testdata/sf0.001")
-    golden = sorted(_glob.glob(p["golden_segments"]))
     texts = []
-    for f in golden[:2]:
+    for f in sorted(_glob.glob(p["golden_segments"]))[:2]:
         texts.extend(
             x for x in pq.read_table(f, columns=["extracted_text"])[
                 "extracted_text"
             ].to_pylist() if x
         )
     assert len(texts) > 100
-    pad = "texto relleno sin cifras aqui. " * 60       # >1024 chars, digitless
-    edge = [
-        "8-123-456",                                    # match == whole text
-        "B/. 1,500.00" + " x" * 600,                    # match at start
-        "y " * 600 + "12 de mayo de 2024",              # match at end
-        "1" + " z" * 300 + "2",                         # two windows merge gap
-        "texto sin digitos " * 100,                     # no windows at all
-        # long-text cases that exercise the window path (len > 1024):
-        pad + "No." + " " * 300 + "123-2024" + pad,     # ws bridge in prefix
-        pad + "B/." + " " * 400 + "1,500.00" + pad,     # ws bridge, money
-        pad + "12" + " " * 300 + "de" + " " * 300
-        + "mayo" + " " * 300 + "de" + " " * 300
-        + "2024" + pad,                                 # multi-gap date_es
-        pad + "8-123-456 " + pad + " 7-88-999" + pad,   # two far-apart windows
-        ("8-1-1 " + pad) * 3,                           # repeated window hits
-    ]
-    for t in texts + edge:
-        assert extract_spans(t) == _extract_spans_direct(t)
+    return texts
+
+
+_PAD = "texto relleno sin cifras aqui. " * 60          # >1024 chars, digitless
+_SPAN_EDGE_CASES = [
+    "8-123-456",                                    # match == whole text
+    "B/. 1,500.00" + " x" * 600,                    # match at start
+    "y " * 600 + "12 de mayo de 2024",              # match at end
+    "1" + " z" * 300 + "2",
+    "texto sin digitos " * 100,                     # no digit runs at all
+    _PAD + "No." + " " * 300 + "123-2024" + _PAD,   # long ws run in prefix
+    _PAD + "B/." + " " * 400 + "1,500.00" + _PAD,   # long ws run, money
+    _PAD + "12" + " " * 300 + "de" + " " * 300
+    + "mayo" + " " * 300 + "de" + " " * 300
+    + "2024" + _PAD,                                # multi-gap date_es
+    _PAD + "8-123-456 " + _PAD + " 7-88-999" + _PAD,  # far-apart matches
+    ("8-1-1 " + _PAD) * 3,                          # repeated hits
+    # digitless money: [\d,]+ accepts a run of commas
+    "x" * 600 + " pago B/,a realizado " + "y" * 600,
+    "8 " + "x" * 600 + " pago B/,,, realizado " + "y" * 600,
+    "b/. ,",
+    # prefixes and digits the candidate finder must place exactly
+    "No5 no 6 No.7 NO. \t 8 JE-12-2024 dj-3 xNo 9 No.\u3000٣٤ ano 10",
+    "٣-٤٥-٦ y ١٢ de mayo de ٢٠٢٤, tel 263-4455, 01/02/2023",
+    "İNo. 12 ı 8-1-1\x00B/. 5 \x00 1-2-3",
+    "12/05/2025 y 3-4-2024 123/4/2024 1/22/20245",
+]
+
+
+def test_extract_spans_equals_direct_corpus():
+    """extract_spans, which tries each pattern only where a match can
+    start, must be byte-identical to the direct six-pass scan — over real
+    corpus segment texts plus adversarial edge cases (matches at text
+    start/end, long whitespace runs, digitless money, Unicode digits)."""
+    from ocr_sam_project_ray.functions.extract_core import (
+        _extract_spans_direct,
+        extract_spans,
+    )
+
+    for t in _corpus_texts() + _SPAN_EDGE_CASES:
+        assert extract_spans(t) == _extract_spans_direct(t), t[:80]
+
+
+def test_digitless_money_span_is_kept():
+    from ocr_sam_project_ray.functions.extract_core import (
+        annotate_texts,
+        extract_spans,
+    )
+
+    t = "x" * 600 + " pago B/,a realizado " + "y" * 600
+    want = [{"field": "money", "start": 606, "end": 609, "text": "B/,"}]
+    assert extract_spans(t) == want
+    assert annotate_texts([t])[0]["spans"] == want
+
+
+def test_annotate_texts_equals_annotate_segment_corpus():
+    """The batch kernel equals the per-text reference annotate_segment,
+    whatever the batch cut: the whole corpus as one batch, small batches,
+    and the edge cases mixed into a batch with corpus texts and empties."""
+    from ocr_sam_project_ray.functions.extract_core import (
+        annotate_segment,
+        annotate_texts,
+    )
+
+    texts = _corpus_texts()
+    want = [annotate_segment(t) for t in texts]
+    assert annotate_texts(texts) == want
+    got = []
+    for i in range(0, len(texts), 7):
+        got += annotate_texts(texts[i:i + 7])
+    assert got == want
+    mixed = [""] + _SPAN_EDGE_CASES[:8] + texts[:5] + [""] + _SPAN_EDGE_CASES[8:]
+    assert annotate_texts(mixed) == [annotate_segment(t) for t in mixed]
+    assert annotate_texts([]) == []
+
+
+def test_person_row_skipped_without_triple_is_fast():
+    """All-caps text with no digit triple: PERSON_ROW backtracks
+    quadratically on it, and the kernel must not run it there."""
+    import signal
+
+    from ocr_sam_project_ray.functions.extract_core import annotate_texts
+
+    def _timeout(signum, frame):
+        raise TimeoutError("annotate_texts took more than 5 s")
+
+    old = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(5)
+    try:
+        ann = annotate_texts(["NOMBRE PEREZ " * 2000])[0]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert ann["entities"] == [] and ann["should_have_persons"] is False
+
+
+def test_candidate_finder_character_classes():
+    """What the candidate finder in extract_core rests on, over every code
+    point: ``\\d`` is str.isdecimal and ``\\s`` is str.isspace (str
+    patterns are Unicode), and lower() keeps decimals and '-' and makes
+    neither from any other character, so a text and its lower() have the
+    same digit triples."""
+    import re
+    import sys
+
+    digit, space = re.compile(r"\d"), re.compile(r"\s")
+    for c in range(sys.maxunicode + 1):
+        ch = chr(c)
+        assert bool(digit.match(ch)) == ch.isdecimal(), hex(c)
+        assert bool(space.match(ch)) == ch.isspace(), hex(c)
+        low = ch.lower()
+        if ch.isdecimal() or ch == "-":
+            assert low == ch, hex(c)
+        else:
+            assert not any(x.isdecimal() or x == "-" for x in low), hex(c)
+
+
+def test_prefix_letters_fold_only_to_their_ascii_pair():
+    """Under re.IGNORECASE the letters of the oficio and money prefixes
+    (JE-, DJ-, No, B/) and of the indicator leads in patterns.py match
+    only their own ASCII upper/lower pair."""
+    import re
+    import sys
+
+    for letter in "bjednoagtmplr":
+        pat = re.compile(letter, re.IGNORECASE)
+        hits = {c for c in range(sys.maxunicode + 1) if pat.match(chr(c))}
+        assert hits == {ord(letter), ord(letter.upper())}, letter
 
 
 def test_should_have_persons_guarded_equals_reference():

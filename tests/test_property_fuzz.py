@@ -84,17 +84,28 @@ def _expected_nonempty(lines, expected):
     return out
 
 
-# Alphabet biased toward span-pattern ingredients: digits, dashes, long
-# whitespace runs, money/oficio prefixes, date keywords.
+# Alphabet biased toward span-pattern ingredients: digits (ASCII and
+# Arabic-Indic), dashes, slashes, long whitespace runs, money/oficio
+# prefixes (digitless "B/," too), date keywords, case-fold-exotic letters,
+# the batch separator "\x00" and an all-caps name.
 _span_chunks = st.sampled_from(
-    ["1", "23", "4567", "-", " ", "  ", " " * 40, " " * 300, "\n", ".",
-     ",", "No.", "JE-", "DJ-", "B/.", "de", "mayo", "x", "palabra ",
+    ["1", "23", "4567", "-", "/", " ", "  ", " " * 40, " " * 300, "\n", ".",
+     ",", ",,,", "No.", "No", "JE-", "DJ-", "B/.", "B/,", "b/", "de", "mayo",
+     "x", "palabra ", "٣", "İ", "ı", "\x00", "|", "MARIA GOMEZ ",
      "texto sin cifras " * 20]
 )
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_span_chunks, min_size=1, max_size=60))
-def test_extract_spans_windowed_equals_direct_fuzz(chunks):
+def test_extract_spans_equals_direct_fuzz(chunks):
     text = "".join(chunks)
     assert core.extract_spans(text) == core._extract_spans_direct(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(_span_chunks, max_size=40).map("".join), min_size=1, max_size=6))
+def test_annotate_texts_batch_equals_per_text_fuzz(texts):
+    """The batch kernel maps the offsets of the joined batch back to each
+    text: on mixed batches it must equal the per-text reference."""
+    assert core.annotate_texts(texts) == [core.annotate_segment(t) for t in texts]
