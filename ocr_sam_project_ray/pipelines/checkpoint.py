@@ -18,12 +18,10 @@ Design (SURVEY.md §4 checkpoint row):
 - pending shards run concurrently, one shard job per thread on a pool of
   ``min(pending, cluster CPUs)`` threads — a shard job of a few hundred
   small pages keeps about one CPU busy, so one-at-a-time left the rest
-  idle. The actor path (``use_actors``) stays one at a time: concurrent
-  jobs' actor pools deadlock. Commits stay per-shard atomic (each shard
-  its own temp dir, rename and lineage record). Ray Data objects (read,
-  ``build_extraction`` with its winner pre-pass, the Parquet datasink) are
-  built one thread at a time under ``_BUILD_LOCK``; only execution
-  overlaps. Ray's filesystem resolution retries an optional fsspec import
+  idle. Commits stay per-shard atomic (each shard its own temp dir,
+  rename and lineage record). Ray Data objects (read, ``build_extraction``
+  with its winner pre-pass, the Parquet datasink) are built one thread at
+  a time under ``_BUILD_LOCK``; only execution overlaps. Ray's filesystem resolution retries an optional fsspec import
   on every read/write construction, and two threads racing that import
   fail with an uncaught ``ImportError``. After the first failure no
   further shard is started, the shards already running finish and commit,
@@ -209,13 +207,10 @@ def run_checkpointed(
         shutil.rmtree(os.path.join(out_dir, f"shard={shard_id}"), ignore_errors=True)
         pending.append((shard_id, files))
 
-    # one at a time when there is no session yet (the first read starts
-    # one, so there is no cluster size to read) or on the actor path:
-    # each job's actor pool holds its CPUs for the whole job, and the
-    # pools of concurrent jobs take every CPU and starve each other's
-    # read tasks — a deadlock
+    # one at a time when there is no session yet: the first read starts
+    # one, so there is no cluster size to read
     cpus = 1
-    if ray.is_initialized() and not cfg.use_actors:
+    if ray.is_initialized():
         cpus = int(ray.cluster_resources().get("CPU", 1))
     with ThreadPoolExecutor(max(1, min(len(pending), cpus))) as pool:
         futures = [

@@ -9,9 +9,9 @@
 
 Fully streaming — with broadcast dedup (the default) there is NO payload
 shuffle anywhere; parse overlaps read with backpressure. The ``html``
-binary column is dropped inside the fused stage. Alternates via
-PipelineConfig: shuffle dedup (any duplicate distribution), unfused
-stages, actor pools for stateful kernels, size-bucket repartition.
+binary column is dropped inside the fused stage. The parse has one plan:
+the fused kernel as stateless tasks (it holds no state to keep warm);
+``PipelineConfig.dedup_mode`` picks only the dedup step.
 
 Per-plan resource reservation: Ray Data by default reserves a share of the
 CPUs for every physical operator. The default plan is two operators (Ray
@@ -20,10 +20,10 @@ fused parse at about half the CPUs while the read needs far less. The
 Dataset ``build_extraction`` returns therefore carries its own DataContext
 copy with ``op_resource_reservation_enabled`` off when its whole logical
 plan is reads plus task-pool maps (the default plan, every checkpoint
-shard). Actor pools (a pool could take every CPU from the read) and
-all-to-all operators (shuffle dedup, size buckets, an input with a groupby
-or join) keep the session's setting, and ``batch_rollup`` puts it back
-for its groupby. It is never switched off session-wide: on the curate
+shard). Actor pools in an input's plan (a pool could take every CPU
+from the read) and all-to-all operators (shuffle or bloom dedup, an
+input with a groupby or join) keep the session's setting, and
+``batch_rollup`` puts it back for its groupby. It is never switched off session-wide: on the curate
 hash shuffles that cost 8-21% docs/s and 9-12% peak RSS.
 """
 
@@ -36,19 +36,17 @@ import ray.data
 
 from ..context import configure_data_context
 from ..sources.synthetic import ensure_corpus
-from ..stages.annotate import SpanAnnotator, annotate_batch
 from ..stages.dedup import dedup_by_url
-from ..stages.extract import MainContentExtractor, extract_batch
 from ..stages.project import project_persons_batch
-from ..stages.segment import segment_batch
 from ..stages.validate import validate_batch
+
+DEDUP_MODES = ("broadcast", "bloom", "shuffle", "none")
 
 
 @dataclass
 class PipelineConfig:
-    """Per-stage execution knobs. Defaults target the 32-CPU single-node
-    sandbox; on a multi-node cluster raise ``dedup_partitions`` to
-    O(cluster CPUs) and let the actor pools autoscale."""
+    """Execution knobs. Defaults target the 32-CPU single-node sandbox; on
+    a multi-node cluster raise ``dedup_partitions`` to O(cluster CPUs)."""
 
     dedup_partitions: int = 16
     # "broadcast": payload-free two-pass dedup (column-pruned winner pre-pass
@@ -59,32 +57,22 @@ class PipelineConfig:
     # "shuffle":   full hash-shuffle dedup (any duplicate distribution)
     # "none":      skip dedup
     dedup_mode: str = "broadcast"
-    # The html/span parser holds NO per-actor state beyond module-level
-    # compiled regexes (imported once per worker process), so stateless
-    # tasks are strictly better here: elastic, no pool sizing, no actor
-    # spawn latency, and a fixed-size pool can starve the read stage.
-    # use_actors=True remains for kernels that DO hold real per-actor state
-    # (models, indexes) and is exercised by tests.
-    use_actors: bool = False
-    # fuse extract+segment+annotate into one actor pool (see stages/fused.py)
-    fused: bool = True
     # html payloads are KB–MB; keep parse batches SMALL so (a) a batch of
     # worst-case docs fits a worker heap and (b) huge-page stragglers are
     # split finely enough for good load balance — measured on the sf0.1
     # corpus, 48 beat 128 by ~20% wall at 32 CPUs (SURVEY.md §4 skew row)
     parse_batch_size: int = 48
-    annotate_batch_size: int = 512
-    parse_concurrency: tuple = (1, 8)
-    annotate_concurrency: tuple = (1, 8)
-    # optional skew control: co-locate similar-sized docs before the parse
-    # (one extra shuffle; off by default — Ray's dynamic block splitting +
-    # small parse batches absorb the synthetic corpus's skew; flip on for
-    # corpora with multi-MB tails)
-    bucket_sort: bool = False
     # optional per-error-class retry/backoff around the fused parse kernel
     # (ops/retry.py; parity: ocr_service.py:448-502). None = off (the local
-    # parse is deterministic); set for flaky/remote kernels. Task path only.
+    # parse is deterministic); set for flaky/remote kernels.
     retry_policy: object = None
+
+    def __post_init__(self) -> None:
+        if self.dedup_mode not in DEDUP_MODES:
+            raise ValueError(
+                f"unknown dedup_mode {self.dedup_mode!r}; expected one of "
+                + ", ".join(map(repr, DEDUP_MODES))
+            )
 
 
 def _read_task_map_plan(op) -> bool:
@@ -146,11 +134,9 @@ def _extraction_plan(
 ) -> ray.data.Dataset:
     ds = ds.map_batches(validate_batch, batch_format="pyarrow")
     if cfg.dedup_mode == "broadcast" and pages_path is not None:
-        import ray as _ray
-
         from ..stages.dedup import compute_dup_winners, make_winner_filter
 
-        winners_ref = _ray.put(
+        winners_ref = ray.put(
             compute_dup_winners(pages_path, num_partitions=min(8, cfg.dedup_partitions))
         )
         ds = ds.map_batches(make_winner_filter(winners_ref), batch_format="pyarrow")
@@ -160,55 +146,15 @@ def _extraction_plan(
         ds = dedup_by_url_bloom(ds, pages_path, num_partitions=cfg.dedup_partitions)
     elif cfg.dedup_mode in ("shuffle", "broadcast", "bloom"):
         ds = dedup_by_url(ds, num_partitions=cfg.dedup_partitions)
-    if cfg.bucket_sort:
-        ds = ds.repartition(cfg.dedup_partitions, keys=["size_bucket"])
-    if cfg.fused:
-        from ..stages.fused import ExtractSegmentAnnotate, extract_segment_annotate_batch
+    # looked up at build time, so a patched module attribute takes effect
+    from ..stages.fused import extract_segment_annotate_batch
 
-        if cfg.use_actors:
-            return ds.map_batches(
-                ExtractSegmentAnnotate,
-                batch_format="pyarrow",
-                batch_size=cfg.parse_batch_size,
-                concurrency=cfg.parse_concurrency,
-                num_cpus=1,
-            )
-        kernel = extract_segment_annotate_batch
-        if cfg.retry_policy is not None:
-            from ..ops.retry import with_retries
+    kernel = extract_segment_annotate_batch
+    if cfg.retry_policy is not None:
+        from ..ops.retry import with_retries
 
-            kernel = with_retries(kernel, cfg.retry_policy)
-        return ds.map_batches(
-            kernel,
-            batch_format="pyarrow",
-            batch_size=cfg.parse_batch_size,
-        )
-    if cfg.use_actors:
-        ds = ds.map_batches(
-            MainContentExtractor,
-            batch_format="pyarrow",
-            batch_size=cfg.parse_batch_size,
-            concurrency=cfg.parse_concurrency,
-            num_cpus=1,
-        )
-    else:
-        ds = ds.map_batches(
-            extract_batch, batch_format="pyarrow", batch_size=cfg.parse_batch_size
-        )
-    ds = ds.map_batches(segment_batch, batch_format="pyarrow")
-    if cfg.use_actors:
-        ds = ds.map_batches(
-            SpanAnnotator,
-            batch_format="pyarrow",
-            batch_size=cfg.annotate_batch_size,
-            concurrency=cfg.annotate_concurrency,
-            num_cpus=1,
-        )
-    else:
-        ds = ds.map_batches(
-            annotate_batch, batch_format="pyarrow", batch_size=cfg.annotate_batch_size
-        )
-    return ds
+        kernel = with_retries(kernel, cfg.retry_policy)
+    return ds.map_batches(kernel, batch_format="pyarrow", batch_size=cfg.parse_batch_size)
 
 
 def run_extraction(

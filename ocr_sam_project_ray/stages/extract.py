@@ -1,14 +1,11 @@
-"""Main-content extraction stage — the heavy transform, run on an actor pool.
+"""Main-content extraction stage — the heavy transform, run as stateless
+tasks inside the fused stage (stages/fused.py).
 
 Role analog of the reference's OCR extractor (the one remote-API call per
 document, src/services/ocr_service.py:52-124, 504-661), re-expressed as a
-deterministic local HTML → text parse (functions/html_text.py) inside
-``map_batches(MainContentExtractor, concurrency=(min,max), batch_format="pyarrow")``.
-
-The class is an actor so parser state is warm per worker (mirroring the
-reference's module-scope service singletons, src/ocr_processor/app.py:22-27)
-and per-actor counters can be surfaced like OCRService's request metrics
-(src/services/ocr_service.py:46-50).
+deterministic local HTML → text parse (functions/html_text.py). The parser
+holds no state: its regexes and heuristic tables are module-level
+constants, imported once per worker process.
 
 Memory discipline: the ``html`` binary column is DROPPED from the output —
 the reference drops ``pdf_content`` the same way after storing shards
@@ -27,38 +24,25 @@ from ..functions.pdf_text import extract_pdf_like_text, is_pdf_like
 _CARRY = ["url", "warc_ts", "lang", "doc_bytes", "size_bucket", "valid", "error"]
 
 
-class MainContentExtractor:
-    def __init__(self) -> None:
-        # warm per-actor state: counters (regexes/heuristic tables are
-        # module-level constants, imported once per worker process)
-        self.docs_processed = 0
-        self.docs_failed = 0
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        html = batch["html"]
-        valid = batch["valid"].to_pylist()
-        texts: list[str] = []
-        for i in range(len(batch)):
-            if not valid[i]:
-                texts.append("")
-                continue
-            payload = html[i].as_py()
-            try:
-                # dual payload routing: DOM path for HTML, layout-parse
-                # path for PDF-like binaries (FIXTURES.md §1)
-                if is_pdf_like(payload):
-                    texts.append(extract_pdf_like_text(payload))
-                else:
-                    texts.append(extract_main_text(payload))
-                self.docs_processed += 1
-            except Exception:  # poison-row capture, never fail the task
-                texts.append("")
-                self.docs_failed += 1
-        out = batch.select([c for c in _CARRY if c in batch.column_names])
-        return out.append_column("extracted_text", pa.array(texts, type=pa.string()))
-
-
 def extract_batch(batch: pa.Table) -> pa.Table:
-    """Stateless-task variant of the same transform (used by tests and by
-    pipelines that prefer tasks over an actor pool at tiny scale)."""
-    return MainContentExtractor()(batch)
+    """Parse each valid row's ``html`` into ``extracted_text``; a row whose
+    parser raises gets empty text instead of failing the task."""
+    html = batch["html"]
+    valid = batch["valid"].to_pylist()
+    texts: list[str] = []
+    for i in range(len(batch)):
+        if not valid[i]:
+            texts.append("")
+            continue
+        payload = html[i].as_py()
+        try:
+            # dual payload routing: DOM path for HTML, layout-parse
+            # path for PDF-like binaries (FIXTURES.md §1)
+            if is_pdf_like(payload):
+                texts.append(extract_pdf_like_text(payload))
+            else:
+                texts.append(extract_main_text(payload))
+        except Exception:  # poison-row capture, never fail the task
+            texts.append("")
+    out = batch.select([c for c in _CARRY if c in batch.column_names])
+    return out.append_column("extracted_text", pa.array(texts, type=pa.string()))

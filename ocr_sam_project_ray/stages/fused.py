@@ -1,17 +1,13 @@
-"""Fused heavy stage: extract → segment → annotate in ONE actor pool.
+"""Fused heavy stage: extract → segment → annotate in ONE task.
 
 The three logical stages (stages/extract.py, stages/segment.py,
 stages/annotate.py — each individually unit-tested) are pure batch→batch
-functions, so composing them inside a single ``__call__`` is semantically
-identical to chaining three ``map_batches`` calls. Fusing them:
-
-- spawns ONE actor pool instead of two (actor startup is a fixed cost that
-  dominated small-scale scaling runs), and
-- keeps the html→text→segments intermediates inside the actor's heap
-  instead of round-tripping each through the object store.
-
-The pipeline uses this by default; the unfused path remains available via
-``PipelineConfig(fused=False)`` and is what the per-stage tests exercise.
+functions, so composing them inside one batch function is semantically
+identical to chaining three ``map_batches`` calls. Fusing them keeps the
+html→text→segments intermediates inside the worker's heap instead of
+round-tripping each through the object store. The three stage functions
+are called through this module's globals, so a wrapper set on them here
+(the benchmark's per-stage timing) takes effect.
 """
 
 from __future__ import annotations
@@ -21,15 +17,6 @@ import pyarrow as pa
 from .annotate import annotate_batch
 from .extract import extract_batch
 from .segment import segment_batch
-
-
-class ExtractSegmentAnnotate:
-    def __init__(self) -> None:
-        self.batches = 0
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        self.batches += 1
-        return annotate_batch(segment_batch(extract_batch(batch)))
 
 
 def extract_segment_annotate_batch(batch: pa.Table) -> pa.Table:

@@ -23,8 +23,8 @@ import re
 
 import pyarrow as pa
 
+from ..functions import extract_core as core
 from ..functions.classify import HIGH_PRIORITY_KEYWORDS
-from ..functions.extract_core import extract_spans
 
 
 class TextScorer:
@@ -34,7 +34,12 @@ class TextScorer:
         self.kw = re.compile("|".join(re.escape(k) for k in HIGH_PRIORITY_KEYWORDS))
 
     def score_one(self, text: str) -> tuple[str, int, int]:
+        """The scores of one text, with its own span scan (the reference
+        form of ``__call__``)."""
         text = text or ""
+        return self._score(text, core.extract_spans(text))
+
+    def _score(self, text: str, spans: list[dict]) -> tuple[str, int, int]:
         # summary: " ".join(s.split()) == re.sub(r"\s+", " ", s).strip() on every
         # string (the html_text.py whitespace-set enumeration), and f(P) is
         # always a PREFIX of f(T) for any prefix P of T (split/join only
@@ -52,15 +57,19 @@ class TextScorer:
         summary = collapsed[:k]
         risk = len(self.kw.findall(text.lower()))
         # identical match set to six full finditer passes — extract_spans
-        # tries each pattern only where a match can start, equality-pinned
-        # against _extract_spans_direct in test_patterns
-        covered = sum(s["end"] - s["start"] for s in extract_spans(text))
+        # and the batch form in __call__ try each pattern only where a match
+        # can start, equality-pinned against _extract_spans_direct in
+        # test_patterns
+        covered = sum(s["end"] - s["start"] for s in spans)
         density_ppm = int(covered * 1_000_000 / len(text)) if text else 0
         return summary, risk, density_ppm
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch["extracted_text"].to_pylist()
-        scored = [self.score_one(t) for t in texts]
+        texts = [t or "" for t in batch["extracted_text"].to_pylist()]
+        # the spans of the whole batch from one digit-run scan: _scan has a
+        # fixed numpy cost per call that dominates on short texts
+        spans = core._spans(texts, core._scan(texts).starts)
+        scored = [self._score(t, s) for t, s in zip(texts, spans)]
         return (
             batch.append_column(
                 "summary", pa.array([s[0] for s in scored], pa.string())

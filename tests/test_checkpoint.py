@@ -218,26 +218,6 @@ def test_concurrent_shard_failure_is_isolated(tmp_path, files):
     pd.testing.assert_frame_equal(_read_out(out, columns), expected)
 
 
-def test_actor_path_shards_do_not_deadlock(tmp_path, files):
-    """Concurrent jobs' actor pools would hold every CPU and starve each
-    other's read tasks, so the actor path runs its shards one at a time."""
-    import threading
-
-    inputs = _four_inputs(tmp_path, files)
-    cfg = PipelineConfig(dedup_partitions=2, use_actors=True)
-    result = {}
-    job = threading.Thread(
-        target=lambda: result.update(
-            run_checkpointed(inputs, str(tmp_path / "out"), cfg, n_shards=4)
-        ),
-        daemon=True,
-    )
-    job.start()
-    job.join(timeout=300)
-    assert not job.is_alive(), "run_checkpointed hung on the actor path"
-    assert result["shards_completed"] == 4
-
-
 def _read_fragments(out_dir):
     df = (
         pads.dataset(

@@ -3,8 +3,6 @@ reproduce the generator's composed expectations byte-for-byte (the
 byte-identical extracted-text contract), including error rows, dedup, and
 annotation columns. Also: dedup idempotence and order independence."""
 
-import threading
-
 import pandas as pd
 import pyarrow.parquet as pq
 import pytest
@@ -137,29 +135,74 @@ def test_extraction_plan_runs_without_reservation():
     assert not _reserved(out)
 
 
+def test_default_plan_shape():
+    """One parse plan: read -> validate -> winner filter -> fused kernel,
+    every map a task-pool map of the module functions."""
+    from ray.data._internal.compute import TaskPoolStrategy
+
+    from ocr_sam_project_ray.stages import fused
+    from ocr_sam_project_ray.stages.validate import validate_batch
+
+    pages = ensure_corpus(SF)["pages"]
+    op = build_extraction(ray.data.read_parquet(pages), pages_path=pages)._logical_plan.dag
+    chain = []
+    while True:
+        chain.append(op)
+        if not op.input_dependencies:
+            break
+        assert len(op.input_dependencies) == 1
+        op = op.input_dependencies[0]
+    read, validate, winners, parse = reversed(chain)
+    assert read.name == "ReadParquet"
+    assert validate._fn is validate_batch
+    assert winners.name == "MapBatches(drop_losers)"
+    assert parse._fn is fused.extract_segment_annotate_batch
+    assert all(isinstance(o._compute, TaskPoolStrategy) for o in chain)
+
+
+def test_dedup_mode_is_checked():
+    with pytest.raises(ValueError, match="'brodcast'") as err:
+        PipelineConfig(dedup_mode="brodcast")
+    for mode in ("broadcast", "bloom", "shuffle", "none"):
+        assert repr(mode) in str(err.value)
+        PipelineConfig(dedup_mode=mode)
+
+
+def test_removed_parse_alternates_are_rejected():
+    with pytest.raises(TypeError):
+        PipelineConfig(use_actors=True)
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
-        PipelineConfig(dedup_partitions=2, use_actors=True),
         PipelineConfig(dedup_partitions=2, dedup_mode="shuffle"),
-        PipelineConfig(dedup_partitions=2, dedup_mode="none", bucket_sort=True),
+        PipelineConfig(dedup_partitions=2, dedup_mode="bloom"),
     ],
-    ids=["actors", "shuffle_dedup", "bucket_sort"],
+    ids=["shuffle_dedup", "bloom_dedup"],
 )
 def test_actor_and_all_to_all_plans_keep_reservation(cfg):
     pages = ensure_corpus(SF)["pages"]
     assert _reserved(build_extraction(ray.data.read_parquet(pages), cfg, pages_path=pages))
 
 
-@pytest.mark.parametrize("upstream", ["groupby", "join"])
+class _Identity:
+    def __call__(self, batch):
+        return batch
+
+
+@pytest.mark.parametrize("upstream", ["groupby", "join", "actor_pool"])
 def test_input_with_all_to_all_keeps_reservation(upstream):
-    """The whole plan counts, not only the operators build_extraction adds."""
+    """The whole plan counts, not only the operators build_extraction adds;
+    an actor pool upstream could take every CPU from the read."""
     pages = ensure_corpus(SF)["pages"]
     src = ray.data.read_parquet(pages)
     if upstream == "groupby":
         src = src.groupby("url", num_partitions=2).map_groups(
             lambda g: g, batch_format="pyarrow"
         )
+    elif upstream == "actor_pool":
+        src = src.map_batches(_Identity, batch_format="pyarrow", concurrency=1)
     else:
         urls = ray.data.read_parquet(pages, columns=["url"])
         src = src.join(urls, "left_semi", num_partitions=2, on=("url",))
@@ -168,20 +211,3 @@ def test_input_with_all_to_all_keeps_reservation(upstream):
     assert not _reserved(build_extraction(ray.data.read_parquet(pages),
                                           PipelineConfig(dedup_mode="none")))
 
-
-def test_actor_path_extraction_finishes(annotated):
-    """The actor path keeps the reservation, so its pool cannot take every
-    CPU from the read: one job finishes."""
-    pages = ensure_corpus(SF)["pages"]
-    cfg = PipelineConfig(dedup_partitions=2, use_actors=True)
-    result = {}
-    job = threading.Thread(
-        target=lambda: result.update(
-            rows=build_extraction(ray.data.read_parquet(pages), cfg, pages_path=pages).count()
-        ),
-        daemon=True,
-    )
-    job.start()
-    job.join(timeout=300)
-    assert not job.is_alive(), "the actor-path extraction job hung"
-    assert result["rows"] == len(annotated)

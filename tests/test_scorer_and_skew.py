@@ -1,6 +1,5 @@
 import pyarrow as pa
 
-from ocr_sam_project_ray.pipelines.extraction import PipelineConfig, run_extraction
 from ocr_sam_project_ray.stages.scorer import TextScorer, score_batch
 
 SF = "/root/testdata/sf0.001"
@@ -36,30 +35,6 @@ def test_scorer_summary_truncates():
     assert len(out["summary"][0].as_py()) == 20
 
 
-def test_bucket_sort_path_same_results():
-    base = run_extraction(SF, PipelineConfig(dedup_partitions=2)).to_pandas()
-    skew = run_extraction(
-        SF, PipelineConfig(dedup_partitions=2, bucket_sort=True)
-    ).to_pandas()
-    a = base.sort_values("doc_id").reset_index(drop=True)
-    b = skew.sort_values("doc_id").reset_index(drop=True)
-    assert list(a.doc_id) == list(b.doc_id)
-    assert list(a.extracted_text) == list(b.extracted_text)
-    assert list(a.confidence) == list(b.confidence)
-
-
-def test_actor_pool_path_same_results():
-    base = run_extraction(SF, PipelineConfig(dedup_partitions=2)).to_pandas()
-    actors = run_extraction(
-        SF, PipelineConfig(dedup_partitions=2, use_actors=True,
-                           parse_concurrency=(1, 2)),
-    ).to_pandas()
-    a = base.sort_values("doc_id").reset_index(drop=True)
-    b = actors.sort_values("doc_id").reset_index(drop=True)
-    assert list(a.doc_id) == list(b.doc_id)
-    assert list(a.extracted_text) == list(b.extracted_text)
-
-
 def test_poison_row_captured_not_fatal(monkeypatch):
     """A payload that makes the extractor raise must become an empty-text
     row, not a task failure (error-result parity, ocr_processor/app.py:120-138)."""
@@ -89,11 +64,10 @@ def test_poison_row_captured_not_fatal(monkeypatch):
                               + b"</p></body></html>"], pa.binary()),
         }
     )
-    actor = ex.MainContentExtractor()
-    out = actor(batch)
+    out = ex.extract_batch(batch)
+    assert out["url"].to_pylist() == ["u1", "u2"]
     assert out["extracted_text"][0].as_py() == ""      # poison captured
     assert "contenido" in out["extracted_text"][1].as_py()
-    assert actor.docs_failed == 1 and actor.docs_processed == 1
 
 
 def test_validator_size_boundaries():
@@ -128,13 +102,9 @@ def test_scorer_fast_kernel_equals_reference_form():
     """The round-5 scorer kernel (bounded-prefix summary collapse +
     extract_spans windowed density) must be value-identical to the plain
     form: full-text regex whitespace collapse + six full finditer passes."""
-    import glob as _glob
     import re
 
-    import pyarrow.parquet as pq
-
     from ocr_sam_project_ray.functions.patterns import PANAMA_PATTERNS
-    from ocr_sam_project_ray.sources.synthetic import ensure_corpus
 
     ws = re.compile(r"\s+")
     sc = TextScorer()
@@ -150,22 +120,47 @@ def test_scorer_fast_kernel_equals_reference_form():
         density = int(covered * 1_000_000 / len(text)) if text else 0
         return summary, risk, density
 
-    p = ensure_corpus(SF)
-    texts = []
-    for f in sorted(_glob.glob(p["golden_segments"])):
-        texts.extend(
-            x for x in pq.read_table(f, columns=["extracted_text"])[
-                "extracted_text"
-            ].to_pylist() if x
-        )
+    texts = [x for x in _corpus_texts() if x]
     assert len(texts) > 50
-    texts += [
-        "", "   ", " \n\t " * 500,            # whitespace-dense: escalation path
-        "a" * 50, "x" * 10_000,               # digit-free long text
-        "w " * 2_000,                         # summary needs >1 escalation? no — wide prefix
-        "B/. 1,234.56 " * 100,                # span-dense
-        " " * 300 + "hola " * 100,            # leading-whitespace strip
-        None,
-    ]
-    for t in texts:
+    for t in texts + _ADVERSARIAL:
         assert sc.score_one(t) == reference(t), repr(t)[:80]
+
+
+def test_score_batch_equals_score_one():
+    """__call__ takes the spans of its whole batch from one scan; the
+    scores equal score_one's, which scans each text on its own."""
+    from test_patterns import _SPAN_EDGE_CASES
+
+    texts = _corpus_texts() + _ADVERSARIAL + _SPAN_EDGE_CASES
+    sc = TextScorer()
+    for batch in (texts, texts[:7], _SPAN_EDGE_CASES + ["", None], [None], []):
+        out = score_batch(pa.table({"extracted_text": pa.array(batch, pa.string())}))
+        assert list(zip(
+            out["summary"].to_pylist(),
+            out["risk_keyword_count"].to_pylist(),
+            out["legal_density_ppm"].to_pylist(),
+        )) == [sc.score_one(t) for t in batch]
+
+
+_ADVERSARIAL = [
+    "", "   ", " \n\t " * 500,            # whitespace-dense: escalation path
+    "a" * 50, "x" * 10_000,               # digit-free long text
+    "w " * 2_000,                         # summary needs >1 escalation? no — wide prefix
+    "B/. 1,234.56 " * 100,                # span-dense
+    " " * 300 + "hola " * 100,            # leading-whitespace strip
+    None,
+]
+
+
+def _corpus_texts():
+    import glob as _glob
+
+    import pyarrow.parquet as pq
+
+    from ocr_sam_project_ray.sources.synthetic import ensure_corpus
+
+    texts = []
+    for f in sorted(_glob.glob(ensure_corpus(SF)["golden_segments"])):
+        texts.extend(pq.read_table(f, columns=["extracted_text"])["extracted_text"].to_pylist())
+    return texts
+
