@@ -9,4 +9,9 @@ binary-column plumbing with real container sniffing (``multimodal``),
 heavy hitters exact + count-min (``heavy``), DSIR importance weights
 (``dsir``), mojibake repair (``mojibake``), BPE tokenizer fitting
 (``bpe_learn``), inverted-index build (``invindex``), PMI collocations
-(``pmi``), and crawl snapshot diffing (``snapshot_diff``)."""
+(``pmi``), and crawl snapshot diffing (``snapshot_diff``).
+
+Every module serves extraction, curation or retrieval and is reached from a
+pipeline, a stage, the CLI or a driver query; a static import scan
+(tests/test_entry_contract.py::test_ops_modules_reachable) fails on a module
+nothing reaches."""

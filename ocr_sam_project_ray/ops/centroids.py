@@ -4,8 +4,9 @@ classifiers, and audit embedding drift between corpus snapshots.
 
 Exact cross-engine contract: float mean is reduction-order-dependent,
 so the op sums QUANTIZED components — ppm integers, round-half-away-
-from-zero like DuckDB round() (the engine-wide integer contract;
-relational._cents) — and returns the integer sums plus counts instead
+from-zero like DuckDB round(), the ``CAST(round(x*1e6) AS BIGINT)``
+analogue of the engine-wide ``CAST(round(x*100) AS BIGINT)`` integer-
+cents contract — and returns the integer sums plus counts instead
 of dividing (the caller divides at whatever precision it wants; the
 oracle hash stays exact regardless of partition order). Output rows =
 |labels| × dim — bounded by contract, independent of corpus size.

@@ -4,8 +4,6 @@ after every preparation step:
 
 - token_df:        corpus document-frequency + term-frequency table
                    (vocabulary building, stop-list derivation, df-pruning)
-- events_cumsum:   per-key running total over an ordered event log
-                   (the ordered-log pattern; feature backfill shape)
 - host_stats:      per-host page/url accounting over a crawl table
                    (crawl-balance audits; host-level dedup planning)
 - token_count_quantiles: EXACT distribution quantiles of per-doc token
@@ -82,65 +80,6 @@ def token_df(
         .aggregate(Sum("df", alias_name="df"), Sum("tf", alias_name="tf"))
     )
 
-
-def events_cumsum(sf_dir: str, num_partitions: int = 4):
-    """Per-user running total of value (integer cents) over the ts-ordered
-    event log — groupby(user).map_groups with an in-group sort; ordering
-    assumption documented: one user's events fit one group."""
-    configure_data_context()
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"]
-    )
-
-    empty = pa.table(
-        {"event_id": pa.array([], pa.int64()),
-         "user_id": pa.array([], pa.int64()),
-         "cum_value_cents": pa.array([], pa.int64())}
-    )
-
-    def running(batch: pa.Table) -> pa.Table:
-        # Arrow-native segmented kernel (round 4): every user of the
-        # partition in one pass — global cumsum minus the prefix before
-        # each user's first row (integer sums, so the subtraction is
-        # exact). Cents are half-away-from-zero like DuckDB round()
-        # (the float-parity trap relational._cents guards against).
-        from .relational import np_cents
-        from .segmented import sorted_segments
-
-        if batch.num_rows == 0:
-            return empty
-        s, starts, counts = sorted_segments(
-            batch,
-            [("user_id", "ascending"), ("ts", "ascending"),
-             ("event_id", "ascending")],
-        )
-        cents = np_cents(s["value"].to_numpy(zero_copy_only=False))
-        cum = cents.cumsum()
-        base = np.where(starts > 0, cum[np.maximum(starts - 1, 0)], 0)
-        out = cum - np.repeat(base, counts)
-        return pa.table(
-            {
-                "event_id": s["event_id"],
-                "user_id": s["user_id"],
-                "cum_value_cents": pa.array(out, pa.int64()),
-            }
-        )
-
-    # returns the DATASET (one row per event — unbounded at scale): callers
-    # stream it on via write_parquet/iter_batches; only the bounded driver
-    # wrappers in __ray_entry__.py collect to pandas for the oracle compare
-    return ds.repartition(
-        num_blocks=num_partitions, keys=["user_id"]
-    ).map_batches(running, batch_format="pyarrow", batch_size=None)
-
-
-SQL_EVENTS_CUMSUM = """
-SELECT event_id, user_id,
-       CAST(sum(CAST(round(value*100) AS BIGINT))
-            OVER (PARTITION BY user_id ORDER BY ts, event_id) AS BIGINT)
-         AS cum_value_cents
-FROM events ORDER BY event_id
-"""
 
 def host_stats(pages_path, num_partitions: int = 4):
     """Per-host crawl accounting: page rows and DISTINCT urls per host.

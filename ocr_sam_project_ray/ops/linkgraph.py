@@ -340,7 +340,10 @@ def _out_degrees(edges: Dataset, num_partitions: int) -> Dataset:
 def _pr_union_schema(
     key, dst=None, n=None, rank=None, outn=None, side: int = 0
 ) -> pa.Table:
-    """Pad-to-superset tag-union row block (the ops/outer.py idiom):
+    """Pad-to-superset tag-union row block: every side's rows carry the
+    union of all sides' columns (nulls where a side has none) plus a
+    ``side`` tag, so differently-shaped inputs can be unioned and
+    co-partitioned by ``key`` in one shuffle:
     (key, dst_host, n_links, rank, outn, side)."""
     m = len(key)
 

@@ -5,8 +5,9 @@ drop machine-generated or boilerplate junk before training.
 
 Every metric is an INTEGER counter and every rule an integer comparison,
 so the DuckDB oracle (``sql_quality_gopher``) recomputes the whole surface
-exactly — no float-ratio parity traps (the engine-wide rule from
-relational._cents). The rule thresholds are the published Gopher values
+exactly — no float-ratio parity traps (the engine-wide rule: a money
+value is compared as DuckDB's ``CAST(round(x*100) AS BIGINT)`` integer
+cents, never as a float). The rule thresholds are the published Gopher values
 expressed in integer math, e.g. "mean word length in [3, 10]" becomes
 ``3*n_words <= sum_word_len <= 10*n_words``.
 

@@ -167,8 +167,10 @@ def group_percent_rank(
     — the peer-run END over the group size, single-row group 1.0
     (matches DuckDB cume_dist()). The kernel is vectorized across
     all groups of a partition: one lexsort + two global searchsorted
-    probes over a composite (segment, value) key (stride > value span,
-    loud int64-overflow guard) — the ops/window.py RANGE-window pattern.
+    probes over a composite (segment, value) key: each row's key is
+    ``segment * stride + (value - min)`` with ``stride`` above the value
+    span (loud int64-overflow guard), so one sorted array answers every
+    group's peer-run bounds without crossing into another group.
 
     Rows travel payload-light (group + value + keep_cols) through ONE
     group-key repartition; one group's rows are assumed to fit one

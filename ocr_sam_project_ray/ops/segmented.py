@@ -1,6 +1,7 @@
 """Partition-local segmented kernels — the Arrow-native replacement for
-``groupby().map_groups(batch_format="pandas")`` in the grouped ordered-log
-operators (round-4 migration; the round-3 review's item #6).
+``groupby().map_groups(batch_format="pandas")`` in the grouped operators
+(ops/corpus_stats.pack_documents, ops/ranking, ops/stratified,
+ops/mixture).
 
 Why: ``map_groups`` invokes the kernel once per GROUP (a Python call +
 frame slice per user), and the pandas format adds an Arrow→pandas→Arrow
@@ -14,16 +15,9 @@ Correctness relies on the same contract map_groups gave us: after
 partition, and ``map_batches(batch_size=None)`` hands the whole
 partition to the kernel as one batch (the repo-wide keyed-repartition
 convention; see ops/invindex.py).
-
-The hot-key guard semantics of ops/guards.group_overflows are preserved
-by ``filter_overflow_segments``: groups above ``max_group_rows`` are
-dropped from the batch and counted in the cap-stats actor (record-and-
-skip, never silent).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 import pyarrow as pa
@@ -73,27 +67,4 @@ def sorted_segments_multi(
         first[1:] = ~same
     starts = np.flatnonzero(first)
     counts = np.diff(np.append(starts, n)).astype(np.int64)
-    return s, starts, counts
-
-
-def filter_overflow_segments(
-    s: pa.Table,
-    starts: np.ndarray,
-    counts: np.ndarray,
-    max_group_rows: Optional[int],
-    cap_stats,
-) -> tuple[pa.Table, np.ndarray, np.ndarray]:
-    """Drop groups above the cap, recording (groups, rows) in the stats
-    actor — the group_overflows semantics at partition granularity."""
-    if max_group_rows is None or not len(counts):
-        return s, starts, counts
-    bad = counts > max_group_rows
-    if not bad.any():
-        return s, starts, counts
-    if cap_stats is not None:
-        cap_stats.add.remote(int(bad.sum()), int(counts[bad].sum()))
-    keep = ~np.repeat(bad, counts)
-    s = s.filter(pa.array(keep))
-    counts = counts[~bad]
-    starts = (np.cumsum(counts) - counts).astype(np.int64)
     return s, starts, counts

@@ -28,7 +28,7 @@ Backends:
   pass per batch, one bincount per batch). Being an exact integer
   contract, it is SQL-recomputable, so the driver oracle checks this
   stage end-to-end (query ``doc_embeddings``) — the same
-  deterministic-stand-in policy as stages/scorer.TextScorer.
+  deterministic-stand-in policy as stages/scorer.py.
 - ``"weights:<path>"`` (round 5): a hashed-feature linear projection
   with LEARNED weights loaded from a parquet ARTIFACT — the load-once
   seam exercised end-to-end with a real weight file and no external

@@ -1,6 +1,6 @@
 """Content-defined chunking: tiling/size invariants, shift robustness,
-planted-duplicate recall, partition invariance; plus the full-outer
-aggregate join and percentile outlier trim vs DuckDB."""
+planted-duplicate recall, partition invariance; plus the percentile
+outlier trim vs DuckDB."""
 
 import duckdb
 import numpy as np
@@ -12,9 +12,6 @@ import ray.data
 
 from ocr_sam_project_ray.ops.cdc import (
     CDC_MAX, CDC_MIN, cdc_chunk_stats, chunk_spans, doc_chunk_rows,
-)
-from ocr_sam_project_ray.ops.outer import (
-    SQL_CLICKS_VS_PURCHASES, clicks_vs_purchases, full_outer_agg_join,
 )
 from ocr_sam_project_ray.ops.outliers import (
     SQL_TRIM_DOCS_BY_LENGTH, column_quantiles, trim_docs_by_length,
@@ -98,46 +95,6 @@ def test_partition_invariance():
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(a, b)
-
-
-# ---------- full outer aggregate join ----------
-
-def test_full_outer_hand_case():
-    left = ray.data.from_arrow(
-        pa.table({"k": pa.array([1, 2], pa.int64()),
-                  "lv": pa.array([10, 20], pa.int64())})
-    )
-    right = ray.data.from_arrow(
-        pa.table({"k": pa.array([2, 3], pa.int64()),
-                  "rv": pa.array([200, 300], pa.int64())})
-    )
-    out = (
-        full_outer_agg_join(left, right, "k", "lv", "rv", num_partitions=2)
-        .to_pandas().sort_values("k").reset_index(drop=True)
-    )
-    assert out["k"].tolist() == [1, 2, 3]
-    assert out["lv"].tolist() == [10, 20, 0]
-    assert out["rv"].tolist() == [0, 200, 300]
-
-
-def test_clicks_vs_purchases_matches_duckdb():
-    got = (
-        clicks_vs_purchases(SF)
-        .to_pandas().sort_values("user_id").reset_index(drop=True)
-    )
-    con = duckdb.connect()
-    con.sql(
-        f"CREATE VIEW events AS SELECT * FROM "
-        f"read_parquet('{SF}/events.parquet')"
-    )
-    exp = con.sql(SQL_CLICKS_VS_PURCHASES).df()
-    for c in exp.columns:
-        exp[c] = exp[c].astype("int64")
-    got = got[exp.columns.tolist()]
-    pd.testing.assert_frame_equal(got, exp)
-    # outer semantics actually exercised: one-sided rows on both sides
-    assert (got["n_clicks"] == 0).any()
-    assert (got["n_purchases"] == 0).any()
 
 
 # ---------- percentile outlier trim ----------

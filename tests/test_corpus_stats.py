@@ -9,7 +9,7 @@ import pytest
 import ray.data
 
 from ocr_sam_project_ray.ops.corpus_stats import (
-    events_cumsum, host_stats, token_count_quantiles, token_df,
+    host_stats, token_count_quantiles, token_df,
 )
 
 SF = "/root/testdata/sf0.001"
@@ -53,23 +53,6 @@ def test_token_df_matches_duckdb():
     assert got.token.tolist() == exp.token.tolist()
     assert got.df.tolist() == exp.df.tolist()
     assert got.tf.tolist() == exp.tf.tolist()
-
-
-def test_events_cumsum_matches_duckdb():
-    got = events_cumsum(SF).to_pandas().sort_values("event_id").reset_index(
-        drop=True
-    )
-    exp = duckdb.sql(
-        f"""
-        SELECT event_id, user_id,
-               CAST(sum(CAST(round(value*100) AS BIGINT))
-                    OVER (PARTITION BY user_id ORDER BY ts, event_id) AS BIGINT)
-                 AS cum_value_cents
-        FROM read_parquet('{SF}/events.parquet') ORDER BY event_id
-        """
-    ).df()
-    assert got.cum_value_cents.tolist() == exp.cum_value_cents.tolist()
-    assert got.event_id.tolist() == exp.event_id.tolist()
 
 
 def test_host_stats_counts():

@@ -152,7 +152,7 @@ def test_topk_tied_idx_matches_full_lexsort():
 
 
 def test_round_half_away_fuzz_vs_duckdb():
-    # the shared exact kernel now backs quantize, np_cents, and
+    # the shared exact kernel backs quantize and
     # _quantize_ppm — fuzz it against DuckDB round() including the
     # adversarial near-half grid the floor(x+0.5) trick fails on
     rng = np.random.default_rng(99)
@@ -165,16 +165,3 @@ def test_round_half_away_fuzz_vs_duckdb():
     exp = [r[0] for r in
            con.execute("SELECT round(x) FROM v").fetchall()]
     assert got.tolist() == exp
-
-
-def test_np_cents_matches_duckdb_on_adversarial_values():
-    from ocr_sam_project_ray.ops.relational import np_cents
-    vals = [0.004999999999999999, -0.004999999999999999, 1.005, -1.005,
-            0.005, 2.675, -2.675]
-    got = np_cents(vals).tolist()
-    con = duckdb.connect()
-    for v, g in zip(vals, got):
-        exp = con.execute(
-            f"SELECT CAST(round(CAST({v!r} AS DOUBLE) * 100.0) AS BIGINT)"
-        ).fetchone()[0]
-        assert g == exp, v

@@ -1,6 +1,8 @@
 import pyarrow as pa
 
-from ocr_sam_project_ray.stages.scorer import TextScorer, score_batch
+from ocr_sam_project_ray.stages.scorer import (
+    KEYWORDS, SUMMARY_CHARS, score_batch, score_one,
+)
 
 SF = "/root/testdata/sf0.001"
 
@@ -29,10 +31,8 @@ def test_scorer_deterministic_and_correct():
 
 def test_scorer_summary_truncates():
     long = "palabra " * 100
-    out = TextScorer(summary_chars=20)(
-        pa.table({"extracted_text": pa.array([long])})
-    )
-    assert len(out["summary"][0].as_py()) == 20
+    out = score_batch(pa.table({"extracted_text": pa.array([long])}))
+    assert len(out["summary"][0].as_py()) == SUMMARY_CHARS
 
 
 def test_poison_row_captured_not_fatal(monkeypatch):
@@ -107,13 +107,12 @@ def test_scorer_fast_kernel_equals_reference_form():
     from ocr_sam_project_ray.functions.patterns import PANAMA_PATTERNS
 
     ws = re.compile(r"\s+")
-    sc = TextScorer()
 
     def reference(text):
         text = text or ""
         collapsed = ws.sub(" ", text).strip()
-        summary = collapsed[: sc.summary_chars]
-        risk = len(sc.kw.findall(text.lower()))
+        summary = collapsed[:SUMMARY_CHARS]
+        risk = len(KEYWORDS.findall(text.lower()))
         covered = 0
         for pat in PANAMA_PATTERNS.values():
             covered += sum(m.end() - m.start() for m in pat.finditer(text))
@@ -123,23 +122,22 @@ def test_scorer_fast_kernel_equals_reference_form():
     texts = [x for x in _corpus_texts() if x]
     assert len(texts) > 50
     for t in texts + _ADVERSARIAL:
-        assert sc.score_one(t) == reference(t), repr(t)[:80]
+        assert score_one(t) == reference(t), repr(t)[:80]
 
 
 def test_score_batch_equals_score_one():
-    """__call__ takes the spans of its whole batch from one scan; the
+    """score_batch takes the spans of its whole batch from one scan; the
     scores equal score_one's, which scans each text on its own."""
     from test_patterns import _SPAN_EDGE_CASES
 
     texts = _corpus_texts() + _ADVERSARIAL + _SPAN_EDGE_CASES
-    sc = TextScorer()
     for batch in (texts, texts[:7], _SPAN_EDGE_CASES + ["", None], [None], []):
         out = score_batch(pa.table({"extracted_text": pa.array(batch, pa.string())}))
         assert list(zip(
             out["summary"].to_pylist(),
             out["risk_keyword_count"].to_pylist(),
             out["legal_density_ppm"].to_pylist(),
-        )) == [sc.score_one(t) for t in batch]
+        )) == [score_one(t) for t in batch]
 
 
 _ADVERSARIAL = [
