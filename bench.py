@@ -22,90 +22,28 @@ This script OWNS its ray session (init/shutdown); library code never does.
 
 from __future__ import annotations
 
-import glob as _glob
 import json
 import os
 import shutil
 import subprocess
 import sys
-import threading
 import time
+
+from perfbench.probes import Probe
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
 
-class _StoreMonitor:
-    """Object-store telemetry for one timed block (round 5 — the LSH
-    band-payload regression was invisible at sf0.1 wall times but would
-    have shown up as spill growth a round earlier): samples occupancy
-    (cluster object_store_memory total - available, in bytes) and the
-    raylet spill directory's size at 4 Hz on a daemon thread.
-    ``stats()`` reports what the block ADDED: peak occupancy and peak
-    spill, each over its value at block start (objects left live by an
-    earlier block are not charged to this one; max-seen rather than
-    end-minus-start because spill files are deleted on free, so an end
-    delta could go negative). 4 Hz sampling can miss sub-250 ms spikes;
-    good enough for trend-level regression catching, which is the
-    point."""
-
-    def __init__(self):
-        import ray
-
-        self._total = ray.cluster_resources().get(
-            "object_store_memory", 0.0
-        )
-        node = ray._private.worker._global_node
-        self._spill_glob = os.path.join(
-            node.get_session_dir_path(), "ray_spilled_objects*", "*"
-        )
-        self._stop = threading.Event()
-
-    def _occupancy(self) -> float:
-        import ray
-
-        try:
-            avail = ray.available_resources().get(
-                "object_store_memory", self._total
-            )
-        except Exception:
-            return 0.0  # no reading; never raises the peak
-        return self._total - avail
-
-    def _spill_bytes(self) -> int:
-        total = 0
-        for p in _glob.glob(self._spill_glob):
-            try:
-                total += os.path.getsize(p)
-            except OSError:
-                pass
-        return total
-
-    def _sample(self) -> None:
-        self._peak = max(self._peak, self._occupancy())
-        self._spill_peak = max(self._spill_peak, self._spill_bytes())
-
-    def _run(self) -> None:
-        while not self._stop.wait(0.25):
-            self._sample()
-
-    def __enter__(self) -> "_StoreMonitor":
-        self._occupancy0 = self._peak = self._occupancy()
-        self._spill0 = self._spill_peak = self._spill_bytes()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join(timeout=2)
-        self._sample()  # one final post-block sample
-
-    def stats(self) -> dict:
-        return {
-            "objstore_peak_bytes": int(self._peak - self._occupancy0),
-            "spill_bytes": int(max(0, self._spill_peak - self._spill0)),
-        }
+def _store_stats(probe: Probe) -> dict:
+    """Object-store telemetry of one timed block: what it ADDED, in bytes —
+    peak occupancy and peak spill, each over its value at block start
+    (objects left live by an earlier block are not charged to this one).
+    The probe samples at 4 Hz: a spike shorter than 250 ms can be missed,
+    which is enough for trend-level regression catching."""
+    s = probe.stats()
+    return {"objstore_peak_bytes": round(s["objstore_peak_mb"] * 2**20),
+            "spill_bytes": round(s["spill_mb"] * 2**20)}
 
 
 def _sf_number(sf_dir: str) -> float:
@@ -168,12 +106,12 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
         best = float("inf")
         tel: dict = {}
         for _ in range(2):
-            with _StoreMonitor() as mon:
+            with Probe(interval_s=0.25) as mon:
                 t0 = time.time()
                 fn()
                 dt = time.time() - t0
             best = min(best, dt)
-            for k, v in mon.stats().items():
+            for k, v in _store_stats(mon).items():
                 tel[k] = max(tel.get(k, 0), v)
         queries[name] = round(best, 3)
         telemetry[name] = tel
@@ -189,14 +127,14 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     head_tel: dict = {}
     for rep in range(2):
         shutil.rmtree(out_dir, ignore_errors=True)
-        with _StoreMonitor() as mon:
+        with Probe(interval_s=0.25) as mon:
             t0 = time.time()
             ds = run_extraction(sf_dir, cfg)
             ds.write_parquet(os.path.join(out_dir, "extracted"))
             dt = time.time() - t0
         headline = min(headline, dt)
         # max across reps — don't let the fast rep hide the slow one's spill
-        for k, v in mon.stats().items():
+        for k, v in _store_stats(mon).items():
             head_tel[k] = max(head_tel.get(k, 0), v)
     telemetry["extraction_write"] = head_tel
     queries["extraction_write"] = round(headline, 3)

@@ -2,25 +2,16 @@
 
 from __future__ import annotations
 
-import re
-
 
 def stage_metrics(ds) -> dict:
-    """Condense ``ds.stats()`` into {stage: wall_time_s}; empty dict when the
-    executor exposes no stats (some consume paths)."""
-    try:
-        raw = ds.stats() or ""
-    except Exception:
-        return {}
-    out: dict[str, float] = {}
-    current = None
-    for line in raw.splitlines():
-        m = re.match(r"Operator \d+ (\S+)", line.strip())
-        if m:
-            current = m.group(1)
-            continue
-        m = re.search(r"\* Total time: ([\d.]+)s", line)
-        if m and current:
-            out[current] = float(m.group(1))
-            current = None
-    return out
+    """{operator name: total wall time in s} of an executed Dataset, or of
+    the write it ran through, from Ray Data's structured stats summary,
+    upstream operators first; empty when nothing has run yet."""
+
+    def walk(summary):
+        for parent in summary.parents:
+            yield from walk(parent)
+        for op in summary.operators_stats:
+            yield op.operator_name, op.time_total_s
+
+    return dict(walk((ds._write_ds or ds)._get_stats_summary()))

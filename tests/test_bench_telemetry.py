@@ -1,6 +1,6 @@
-"""bench.py _StoreMonitor: the per-entry object-store telemetry channel
-(round 5) must see real occupancy while objects are live and report
-zero spill growth when nothing spills."""
+"""bench.py's object-store telemetry (perfbench's Probe at 4 Hz, read as
+bytes) must see real occupancy while objects are live and report zero
+spill growth when nothing spills."""
 
 import importlib.util
 import os
@@ -21,12 +21,12 @@ def _load_bench():
 
 def test_store_monitor_sees_occupancy():
     bench = _load_bench()
-    with bench._StoreMonitor() as mon:
+    with bench.Probe(interval_s=0.25) as mon:
         refs = [ray.put(np.zeros(8_000_000, dtype=np.uint8))
                 for _ in range(4)]
         time.sleep(0.8)  # let the 4 Hz sampler observe the live objects
         del refs
-    stats = mon.stats()
+    stats = bench._store_stats(mon)
     assert stats["objstore_peak_bytes"] >= 8_000_000, stats
     assert stats["spill_bytes"] == 0, stats
     assert set(stats) == {"objstore_peak_bytes", "spill_bytes"}
@@ -46,6 +46,6 @@ def test_store_monitor_excludes_occupancy_at_block_start(monkeypatch):
         return {"object_store_memory": total - next(used, 108_000_000)}
 
     monkeypatch.setattr(ray, "available_resources", available_resources)
-    with bench._StoreMonitor() as mon:
+    with bench.Probe(interval_s=0.25) as mon:
         time.sleep(0.3)  # at least one background sample
-    assert mon.stats()["objstore_peak_bytes"] == 8_000_000
+    assert bench._store_stats(mon)["objstore_peak_bytes"] == 8_000_000

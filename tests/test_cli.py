@@ -25,6 +25,7 @@ def test_cli_run(tmp_path):
                 "--num-cpus", "2", "--partitions", "2"])
     assert res["out"] == out_dir
     assert res["wall_time_s"] > 0
+    assert res["stats"], res
     assert glob.glob(os.path.join(out_dir, "*.parquet"))
 
 

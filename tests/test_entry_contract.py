@@ -125,12 +125,28 @@ def test_recorded_window_boundary(entry_mod):
     assert keys[:50] == RECORDED_50, (
         "the driver-recorded 50-query window shifted — if this rotation "
         "is deliberate, update RECORDED_50 (and the registry marker "
-        "comment in __ray_entry__.queries())"
+        "comment in __ray_entry__.QUERIES)"
     )
     # every recorded query must be oracle-checked (the driver's hash gate)
     oracles = entry_mod.oracle_sql()
     missing = [k for k in RECORDED_50 if k not in oracles]
     assert not missing, f"recorded-window queries without oracles: {missing}"
+
+
+# The queries without an oracle: approximate or not SQL-expressible, each
+# accuracy-tested in its op's own test file. A query added without an
+# oracle must be added here on purpose, not pass silently as rows-only.
+ROWS_ONLY = {
+    "bpe_merges", "approx_nchars_quantiles", "knn_ivf", "approx_distinct_users",
+    "semdedup", "bm25_topk_float", "cdc_chunk_stats", "compression_signal",
+}
+
+
+def test_rows_only_queries_pinned(entry_mod):
+    """Registry bookkeeping only; no query runs."""
+    names, oracles = set(entry_mod.queries()), set(entry_mod.oracle_sql())
+    assert names - oracles == ROWS_ONLY
+    assert oracles <= names
 
 
 def _imported_modules(path, root):

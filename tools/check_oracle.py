@@ -2,12 +2,14 @@
 its oracle_sql() via DuckDB, comparing row count, column names, and
 order-insensitive values — the same comparison shape the external driver
 applies at sf=0.01.
+Each query's line carries its wall time (run and collect, oracle excluded).
 Usage: python tools/check_oracle.py [sf_dir] [num_cpus] [only]
   only: optional comma-separated query names — check just those (skips
-        the entry() smoke) for fast iteration on one op.
+        the entry() smoke) for fast iteration on, or timing of, one op.
 """
 
 import sys
+import time
 
 import duckdb
 import pandas as pd
@@ -67,12 +69,14 @@ def main():
     for name, fn in qs.items():
         if only is not None and name not in only:
             continue
+        t0 = time.perf_counter()
         got = fn(sf_dir)
         if hasattr(got, "to_pandas"):
             got = got.to_pandas()
+        wall = f"{time.perf_counter() - t0:.2f}s"
         sql = oracles.get(name)
         if sql is None:
-            print(f"  {name}: {len(got)} rows (no oracle — rows-only)")
+            print(f"  {name}: {len(got)} rows, {wall} (no oracle — rows-only)")
             continue
         # The synthetic-page-corpus oracles read golden parquet generated
         # for sf0.01 — the ONLY scale the driver contract runs oracle_sql()
@@ -83,8 +87,8 @@ def main():
         # references the sf0.01 corpus cache, and the run is off-tier iff
         # sf_dir does not resolve to the driver tier itself.
         if not at_driver_tier and pin_root in sql:
-            print(f"  {name}: {len(got)} rows (oracle pinned to sf0.01 "
-                  "by driver contract — rows-only at this scale)")
+            print(f"  {name}: {len(got)} rows, {wall} (oracle pinned to "
+                  "sf0.01 by driver contract — rows-only at this scale)")
             continue
         exp = con.sql(sql).df()
         g, e = normalize(got), normalize(exp)
@@ -99,7 +103,7 @@ def main():
             ex_g = g[diff].head(2)
             ex_e = e[diff].head(2)
             status += f"\n    got: {ex_g.to_dict('records')}\n    exp: {ex_e.to_dict('records')}"
-        print(f"  {name}: {len(g)} rows … {status}")
+        print(f"  {name}: {len(g)} rows, {wall} … {status}")
         if status != "OK":
             failures.append(name)
     ray.shutdown()
