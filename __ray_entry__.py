@@ -39,13 +39,11 @@ from ocr_sam_project_ray.functions.classify import HIGH_PRIORITY_KEYWORDS
 from ocr_sam_project_ray.functions.extract_core import accept_result
 from ocr_sam_project_ray.functions.textops import parse_date_es
 from ocr_sam_project_ray.ops import (
-    bm25, bpe_apply, bpe_learn, cdc, centroids, chunk, compressratio,
-    corpus_stats, dedup_text, dsir, embed, entropy, graph, grouped_quantiles,
-    hashclf, heavy, hostquota, imagepix, incremental, invindex, kmeans,
+    bm25, bpe_apply, cdc, chunk, compressratio, corpus_stats, dedup_text,
+    dsir, embed, graph, hostquota, imagepix, incremental, invindex, kmeans,
     line_dedup, linkgraph, mixture, mojibake, multimodal, ngram_lm, normalize,
-    outliers, pii, pmi, qsketch, quality, quantize, ranking, repetition,
-    sketch, snapshot_diff, span_dedup, split, stratified, textstats, tfidf,
-    urltools, wsample,
+    outliers, pii, quality, quantize, ranking, sketch, span_dedup, split,
+    stratified, textstats, tfidf, urltools, wsample,
 )
 from ocr_sam_project_ray.pipelines.extraction import (
     PipelineConfig, _scope_reservation, batch_rollup, project_persons,
@@ -292,37 +290,6 @@ def _crawl_frontier(ds):
         "text": pa.array([""] * len(decor), pa.string()),
     }))
     return linkgraph.crawl_frontier(ds.union(extra))
-
-
-def _snapshot_diff(docs):
-    """Old = doc_id%3!=0 of the corpus, new = doc_id%4!=0 with text edited
-    for doc_id%5==0 — in engine and oracle alike, so all four statuses
-    appear on the corpus."""
-
-    def edit(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64)
-        edited = pc.if_else(
-            pa.array(ids % 5 == 0),
-            pc.binary_join_element_wise(
-                pc.cast(batch["text"], pa.string()), " v2", ""),
-            batch["text"],
-        )
-        return batch.set_column(
-            batch.schema.get_field_index("text"), "text", edited)
-
-    old = docs.filter(lambda r: r["doc_id"] % 3 != 0)
-    new = docs.filter(lambda r: r["doc_id"] % 4 != 0).map_batches(
-        edit, batch_format="pyarrow")
-    return snapshot_diff.snapshot_diff(old, new, num_partitions=4)
-
-
-def _bpe_merges(ds) -> pd.DataFrame:
-    merges = bpe_learn.learn_bpe_merges(ds, n_merges=12, num_partitions=4)
-    return pd.DataFrame({
-        "rank": range(1, len(merges) + 1),
-        "left": [a for a, _ in merges],
-        "right": [b for _, b in merges],
-    })
 
 
 def _mojibake_corrupt(batch: pa.Table) -> pa.Table:
@@ -1224,27 +1191,12 @@ QUERIES = [
           oracle=lambda: hostquota.SQL_HOST_QUOTA.format(pages=_corpus()["pages"], n=_HOST_QUOTA_N)),
     Query("lm_buckets", _docs, partial(ngram_lm.familiarity_buckets, num_partitions=4),
           oracle=ngram_lm.sql_familiarity_buckets),
-    Query("rep_ngrams", _docs, repetition.score_repetition, oracle=repetition.sql_repetition),
     Query("weighted_sample", _docs, lambda ds: wsample.weighted_sample(ds, 60),
           oracle=partial(wsample.sql_weighted_sample, 60)),
-    Query("top_tokens", _docs, partial(heavy.top_tokens, k=20, num_partitions=4),
-          oracle=partial(heavy.sql_top_tokens, 20)),
-    Query("bpe_pair_counts", _docs, partial(bpe_learn.bpe_pair_counts, num_partitions=4),
-          oracle=bpe_learn.sql_bpe_pair_counts),
-    # rows-only: the iterative merge loop is not SQL-expressible;
-    # reference-implementation equality is tested in test_bpe_learn
-    Query("bpe_merges", _docs, _bpe_merges),
     Query("inverted_index", _docs, lambda ds: _csv(invindex.build_inverted_index(
         ds, num_partitions=4).to_pandas(), "postings"), oracle=lambda: (
             "SELECT token, df, array_to_string(postings, ',') AS postings "
             f"FROM ({invindex.sql_inverted_index()})")),
-    Query("pmi_topk", _docs, lambda ds: pmi.pmi_topk(ds, k=30, min_count=5, num_partitions=4),
-          oracle=partial(pmi.sql_pmi_topk, k=30, min_count=5)),
-    Query("snapshot_diff", _docs, _snapshot_diff, oracle=partial(
-        snapshot_diff.sql_snapshot_diff,
-        "SELECT doc_id, text FROM documents WHERE doc_id % 3 <> 0",
-        "SELECT doc_id, CASE WHEN doc_id % 5 = 0 THEN text || ' v2' "
-        "ELSE text END AS text FROM documents WHERE doc_id % 4 <> 0")),
     Query("chunk_documents", _docs, chunk.chunk_documents, oracle=chunk.sql_chunk_documents),
     # weights-artifact embedder backend: a parquet weight matrix loaded once
     # per actor; its integer-valued weights keep the float sums exact
@@ -1253,23 +1205,15 @@ QUERIES = [
         concurrency=(1, 4), batch_size=512).to_pandas(), "embedding"),
           oracle=embedder.sql_doc_embeddings_learned),
     Query("doc_split", _docs, split.hash_split, oracle=split.sql_hash_split),
-    Query("lang_token_quantiles", _docs, grouped_quantiles.grouped_token_quantiles,
-          oracle=grouped_quantiles.sql_grouped_token_quantiles),
-    Query("hashclf_score", _docs, hashclf.hashclf_score, oracle=hashclf.sql_hashclf_score),
     Query("trim_docs_length", None, outliers.trim_docs_by_length,
           oracle=outliers.SQL_TRIM_DOCS_BY_LENGTH),
-    Query("label_centroids", _embeddings, centroids.label_centroids,
-          oracle=centroids.SQL_LABEL_CENTROIDS),
-    Query("char_entropy", _docs, entropy.char_entropy, oracle=entropy.sql_char_entropy),
     Query("bpe_token_freqs", _docs, partial(bpe_apply.bpe_token_freqs, num_partitions=4),
           oracle=bpe_apply.sql_bpe_token_freqs),
     Query("embed_quantize_stats", _embeddings, quantize.quantize_stats,
           oracle=quantize.sql_quantize_stats),
     # rows-only below: approximate or not SQL-expressible; their accuracy
-    # bounds are tested in test_qsketch, test_ops_embed, test_ops_sketch,
-    # test_kmeans, test_bm25, test_cdc and test_compressratio
-    Query("approx_nchars_quantiles", _read("documents", ["n_chars"]),
-          lambda ds: pd.DataFrame([qsketch.approx_quantiles(ds, "n_chars", k=256)])),
+    # bounds are tested in test_ops_embed, test_ops_sketch, test_kmeans,
+    # test_bm25, test_cdc and test_compressratio
     Query("knn_ivf", _embeddings, lambda ds: embed.knn_ivf(ds, *_knn_queries(ds), k=10)),
     Query("approx_distinct_users", _read("events", ["user_id"]), lambda ds: pd.DataFrame(
         {"approx_distinct_users": [round(sketch.approx_count_distinct(ds, "user_id"), 3)]})),

@@ -69,8 +69,7 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
 
     from ocr_sam_project_ray.context import configure_data_context
     from ocr_sam_project_ray.pipelines.extraction import (
-        PipelineConfig, batch_rollup, build_extraction, project_persons,
-        read_pages, run_extraction,
+        PipelineConfig, batch_rollup, project_persons, run_extraction,
     )
     from ocr_sam_project_ray.sources.synthetic import ensure_corpus
     from ocr_sam_project_ray.stages.dedup import dedup_by_url
@@ -265,12 +264,6 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
          "spark row column value"],
         k=10,
     ))
-
-    # Hashing-vectorizer linear classifier gate (stateless vectorized
-    # map_batches, no shuffle)
-    from ocr_sam_project_ray.ops.hashclf import hashclf_score
-
-    timed("hashclf_score_docs", lambda: hashclf_score(docs_tbl).count())
 
     # text→embedding actor-pool stage (round 4: model-in-__init__ seam,
     # deterministic hash backend) over the documents table

@@ -5,13 +5,12 @@ membership (``bloom``), per-error-class retry/backoff (``retry``),
 embedding similarity (brute-force + IVF-bucketed ANN, cosine near-dup),
 text analysis (language-ID, quality scoring, token counting,
 fingerprinting), mergeable sketches (``sketch``), multimodal
-binary-column plumbing with real container sniffing (``multimodal``),
-heavy hitters exact + count-min (``heavy``), DSIR importance weights
-(``dsir``), mojibake repair (``mojibake``), BPE tokenizer fitting
-(``bpe_learn``), inverted-index build (``invindex``), PMI collocations
-(``pmi``), and crawl snapshot diffing (``snapshot_diff``).
+binary-column plumbing with real container sniffing (``multimodal``) and
+pixel decoding (``imagepix``), DSIR importance weights (``dsir``),
+mojibake repair (``mojibake``), BPE encoding with a fixed merge list
+(``bpe_apply``), inverted-index build and phrase search (``invindex``).
 
 Every module serves extraction, curation or retrieval and is reached from a
-pipeline, a stage, the CLI or a driver query; a static import scan
+pipeline, the CLI or a driver query; a static import scan
 (tests/test_entry_contract.py::test_ops_modules_reachable) fails on a module
 nothing reaches."""

@@ -115,9 +115,9 @@ def _tf_matrix(
     parity, full-codepoint-enumerated) and tokens map to the bounded
     query-term vocabulary with one ``pc.index_in`` hash lookup; counts
     come from one bincount. No Python string materializes anywhere —
-    no per-doc Counter, no per-(doc, term) loop (the ops/hashclf.py
-    idiom, now tokenizer-inclusive: ~3x faster than the prior
-    per-row-tokenize + get_indexer rendering at 200-token docs)."""
+    no per-doc Counter, no per-(doc, term) loop (tokenizer-inclusive:
+    ~3x faster than the prior per-row-tokenize + get_indexer rendering
+    at 200-token docs)."""
     if not isinstance(texts, (pa.Array, pa.ChunkedArray)):
         texts = pa.array(list(texts), pa.string())
     n_docs = len(texts)

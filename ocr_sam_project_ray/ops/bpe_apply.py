@@ -1,8 +1,7 @@
 """Apply a fixed BPE merge list to the corpus at scale — the ENCODE half
-of the tokenizer lifecycle (ops/bpe_learn.py is the FIT half; Sennrich,
-Haddow & Birch 2016 §3.2: merges are applied to new text in the order
-they were learned, each pass merging leftmost non-overlapping
-occurrences). This is the op a training-data pipeline runs on every
+of the tokenizer lifecycle (Sennrich, Haddow & Birch 2016 §3.2: merges
+are applied to new text in the order they were learned, each pass
+merging leftmost non-overlapping occurrences). This is the op a training-data pipeline runs on every
 document after the tokenizer is frozen: exact token counts for packing
 / budgeting, and the realized subword frequency table.
 
@@ -12,9 +11,9 @@ symbols are the word's own characters; merge k's output symbol is the
 private-use-area character chr(0xE000+k). Applying merge (a, b) is then
 a plain string replace of sym(a)+sym(b) (a 2-char pattern) with the
 1-char output — and str.replace's leftmost non-overlapping single pass
-is EXACTLY merge_word's semantics (pinned by test_bpe_apply against
-bpe_learn.merge_word applied sequentially). Because the pattern spans
-precisely two whole symbols, no false match across symbol boundaries is
+is EXACTLY reference BPE's merge semantics (pinned by test_bpe_apply
+against a per-word merge loop applied sequentially). Because the pattern
+spans precisely two whole symbols, no false match across symbol boundaries is
 possible, and DuckDB's replace() has the same single-pass semantics —
 so the oracle recomputes the encode VERBATIM as a chain of replace()
 calls built from the same table (sql helpers below).

@@ -4,7 +4,7 @@ heuristic in production curation stacks: highly compressible text
 below natural prose, and NEAR-incompressible "text" is usually binary
 junk or encoded blobs. Both tails get gated (the Gopher/RedPajama-class
 pipelines gate on exactly this signal alongside the repetition rules in
-ops/repetition.py — this op is the byte-level complement to those
+ops/quality.py — this op is the byte-level complement to those
 token-level signals).
 
 Contract: ratio_ppm = floor(compressed_len * 1e6 / utf8_len) with

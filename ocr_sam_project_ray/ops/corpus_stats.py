@@ -241,7 +241,7 @@ def token_count_quantiles(
     small groupby, then a driver walk over the (bounded) distinct-value
     histogram. quantile_disc semantics: element at 0-based rank
     ceil(q·n)−1 of the sorted multiset — DuckDB's discrete-quantile rank
-    rule, verified empirically across n and q (test_grouped_quantiles;
+    rule, verified empirically across n and q (test_corpus_stats;
     the earlier floor((n−1)·q) formula coincides at the corpus sizes the
     oracle runs at but diverges for e.g. n=71, q=0.99)."""
     import pandas as pd

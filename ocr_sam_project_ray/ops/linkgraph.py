@@ -57,7 +57,7 @@ Scale plan — TWO equality-tested plans behind one entry point:
   update. Driver state is two scalars (|V|, teleport); per-iteration
   cost is two key shuffles over (host, int64) rows — web-scale host
   cardinality streams. Iterations are checkpointed (materialize) so
-  the lineage stays one round deep (the ops/bpe_learn.py convention).
+  the lineage stays one round deep.
 
 The reference has no graph surface at all; this op is part of the
 engine's beyond-reference web-scale inventory (SURVEY §2.6).

@@ -7,7 +7,7 @@ Pass 1: EXACT quantile thresholds of an integer column via the
 distributed-histogram plan (per-batch (value → count) combiners → one
 small groupby → bounded driver walk over distinct values; same
 quantile_disc rank rule — 0-based ceil(q·n)−1 — pinned by
-test_grouped_quantiles). Pass 2: the thresholds are two scalars
+test_corpus_stats). Pass 2: the thresholds are two scalars
 broadcast into a stateless vectorized filter; the payload never
 shuffles and the stream never materializes.
 
@@ -33,7 +33,7 @@ def quantile_disc_walk(values, counts, qs) -> dict:
     """{q: value} walk over a sorted (value, count) histogram with the
     DuckDB quantile_disc rank rule — element at 0-based rank
     ceil(q·n)−1 of the sorted multiset (pinned by the probe test in
-    test_grouped_quantiles). THE shared implementation: corpus_stats
+    test_corpus_stats). THE shared implementation: corpus_stats
     and this module both delegate here so the rank rule lives once."""
     total = int(sum(counts))
     out = {}

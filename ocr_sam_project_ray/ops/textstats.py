@@ -159,7 +159,7 @@ def token_lff(flat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rendering (len(tok), ord(tok[0]), ord(tok[-1])): utf8_length counts
     codepoints like len(), and _single_cp decodes the 1-char slices
     exactly (surrogates cannot occur in valid UTF-8). The shared
-    char-feature kernel behind ops/hashclf and stages/embedder —
+    char-feature kernel behind stages/embedder —
     replaces the padded numpy-U view, which required materializing every
     token as a Python string first."""
     lens = pc.utf8_length(flat).to_numpy(zero_copy_only=False).astype(

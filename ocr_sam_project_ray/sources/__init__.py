@@ -1,1 +1,1 @@
-"""Corpus sources: synthetic page generator + parquet readers."""
+"""Corpus sources: the synthetic page corpus generator."""

@@ -23,9 +23,9 @@ actor):
 Backends:
 
 - ``"hash"`` (default, DETERMINISTIC): a hashed bag-of-tokens projection
-  — the fastText-style lattice of ops/hashclf.py extended from a scalar
-  score to a D-dim vector, fully vectorized (one padded U-view code-point
-  pass per batch, one bincount per batch). Being an exact integer
+  — a fastText-style hashed lattice giving a D-dim vector, fully
+  vectorized (one padded U-view code-point pass per batch, one bincount
+  per batch). Being an exact integer
   contract, it is SQL-recomputable, so the driver oracle checks this
   stage end-to-end (query ``doc_embeddings``) — the same
   deterministic-stand-in policy as stages/scorer.py.
@@ -123,7 +123,7 @@ def hash_embed_batch(texts, dim: int = EMBED_DIM) -> np.ndarray:
     j = hh % dim
     w = (hh * HASH_MULT) % HASH_MOD - HASH_SHIFT
     # |w| < 1000: float64 bincount sums are integer-exact far beyond any
-    # real per-doc token count (same argument as ops/hashclf._scores)
+    # real per-doc token count (the sums stay far below 2**53)
     cells = np.bincount(
         doc_idx * dim + j, weights=w, minlength=n_docs * dim
     ).astype(np.int64)

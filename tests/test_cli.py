@@ -6,14 +6,17 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 SF = "/root/testdata/sf0.001"
+# the checkout under test, whichever directory it sits in
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(args):
     out = subprocess.run(
         [sys.executable, "-m", "ocr_sam_project_ray.cli", *args],
-        capture_output=True, text=True, check=True, cwd="/root/repo",
+        capture_output=True, text=True, check=True, cwd=ROOT,
         timeout=300,
     ).stdout
     return json.loads(out.strip().splitlines()[-1])
@@ -147,7 +150,7 @@ def test_cli_ingest_watch_picks_up_midstream(tmp_path):
          "--out", out_dir, "--num-cpus", "2", "--partitions", "2",
          "--watch", "--interval", "0.5", "--idle-budget", "12"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        cwd="/root/repo",
+        cwd=ROOT,
     )
     try:
         # wait until round 1 (frag_a) completes, then drop frag_b in
@@ -200,7 +203,7 @@ def test_cli_ingest_watch_waits_for_stable_file(tmp_path):
          "--out", out_dir, "--num-cpus", "2", "--partitions", "2",
          "--watch", "--interval", "0.5", "--idle-budget", "12"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        cwd="/root/repo",
+        cwd=ROOT,
     )
     try:
         # give the watch loop time to start polling the (empty) glob,
@@ -236,7 +239,7 @@ def test_cli_ingest_watch_waits_for_stable_file(tmp_path):
         [sys.executable, "-m", "ocr_sam_project_ray.cli", "ingest",
          "--files", pages[0], "--out", ref_out,
          "--num-cpus", "2", "--partitions", "2"],
-        capture_output=True, text=True, cwd="/root/repo",
+        capture_output=True, text=True, cwd=ROOT,
     )
     assert ref.returncode == 0, ref.stderr
     ref_rec = json.load(open(glob.glob(
@@ -272,7 +275,7 @@ def test_cli_ingest_watch_inplace_rewrite(tmp_path):
          "--out", out_dir, "--num-cpus", "2", "--partitions", "2",
          "--watch", "--interval", "0.5", "--idle-budget", "15"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        cwd="/root/repo",
+        cwd=ROOT,
     )
 
     def wait_for(pred, what, deadline_s=90):

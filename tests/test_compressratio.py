@@ -1,5 +1,7 @@
 """Compression-ratio signal: kernel invariants + gating behavior."""
 
+from pathlib import Path
+
 import pyarrow as pa
 
 import ray.data
@@ -41,7 +43,8 @@ def test_encoded_blobs_fire_hi_gate():
     assert compression_ratio_ppm(base64.b64encode(raw).decode()) > RATIO_HI_PPM
     noise = "".join(chr(33 + int(x)) for x in rng.integers(0, 90, 8000))
     assert compression_ratio_ppm(noise) > RATIO_HI_PPM
-    code = open("/root/repo/ocr_sam_project_ray/ops/bm25.py").read()
+    root = Path(__file__).resolve().parents[1]
+    code = (root / "ocr_sam_project_ray" / "ops" / "bm25.py").read_text()
     assert compression_ratio_ppm(code) < RATIO_HI_PPM
 
 

@@ -85,6 +85,22 @@ def test_quantiles_hand_case_and_duckdb_parity():
     assert out.p90.iloc[0] == exp.p90.iloc[0]
 
 
+
+def test_duckdb_rank_rule_is_ceil_qn_minus_1():
+    # pin the contract: quantile_disc rank (0-based) = ceil(q*n) - 1
+    import math
+
+    con = duckdb.connect()
+    for n in (4, 5, 10, 71, 100, 333):
+        vals = list(range(1, n + 1))
+        for q in (0.5, 0.9, 0.99):
+            duck = con.execute(
+                "SELECT quantile_disc(v, ?) FROM (SELECT unnest(?) AS v)",
+                [q, vals],
+            ).fetchone()[0]
+            assert duck == vals[max(0, math.ceil(q * n) - 1)], (n, q)
+
+
 def test_pack_documents_matches_duckdb():
     from ocr_sam_project_ray.ops.corpus_stats import (
         SQL_PACK_DOCUMENTS, pack_documents,

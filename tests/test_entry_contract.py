@@ -5,12 +5,14 @@ sf0.01 by contract, so oracles here are re-rendered for sf0.001 where they
 reference golden parquet; view-based oracles run as-is."""
 
 import sys
+from pathlib import Path
 
 import duckdb
 import pandas as pd
 import pytest
 
-sys.path.insert(0, "/root/repo")
+ROOT = Path(__file__).resolve().parents[1]  # the checkout under test
+sys.path.insert(0, str(ROOT))
 
 SF = "/root/testdata/sf0.001"
 
@@ -137,8 +139,8 @@ def test_recorded_window_boundary(entry_mod):
 # accuracy-tested in its op's own test file. A query added without an
 # oracle must be added here on purpose, not pass silently as rows-only.
 ROWS_ONLY = {
-    "bpe_merges", "approx_nchars_quantiles", "knn_ivf", "approx_distinct_users",
-    "semdedup", "bm25_topk_float", "cdc_chunk_stats", "compression_signal",
+    "knn_ivf", "approx_distinct_users", "semdedup", "bm25_topk_float",
+    "cdc_chunk_stats", "compression_signal",
 }
 
 
@@ -179,21 +181,19 @@ def _imported_modules(path, root):
 
 
 def test_ops_modules_reachable():
-    """Every ops module is imported, directly or through other reachable
-    modules, by a pipeline, a stage, the CLI or the driver entry points —
-    a retired caller cannot leave an orphan operator behind. Static scan;
-    nothing is imported or run."""
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parents[1]
-    pkg = root / "ocr_sam_project_ray"
-    todo = [*pkg.glob("pipelines/*.py"), *pkg.glob("stages/*.py"),
-            pkg / "cli.py", root / "__ray_entry__.py"]
+    """Every module under ops/, sources/, functions/ and stages/ is
+    imported, directly or through other reachable modules, by a pipeline,
+    the CLI or the driver entry points — a retired caller cannot leave an
+    orphan behind. Static scan; nothing is imported or run."""
+    pkg = ROOT / "ocr_sam_project_ray"
+    todo = [*pkg.glob("pipelines/*.py"), pkg / "cli.py", ROOT / "__ray_entry__.py"]
     seen = set(todo)
     while todo:
-        for mod in _imported_modules(todo.pop(), root) - seen:
+        for mod in _imported_modules(todo.pop(), ROOT) - seen:
             seen.add(mod)
             todo.append(mod)
-    orphans = sorted(p.name for p in pkg.glob("ops/*.py")
+    orphans = sorted(str(p.relative_to(pkg))
+                     for area in ("ops", "sources", "functions", "stages")
+                     for p in pkg.glob(f"{area}/*.py")
                      if p.name != "__init__.py" and p not in seen)
     assert orphans == []

@@ -10,6 +10,7 @@ Usage: python tools/check_oracle.py [sf_dir] [num_cpus] [only]
 
 import sys
 import time
+from pathlib import Path
 
 import duckdb
 import pandas as pd
@@ -39,7 +40,7 @@ def main():
 
     ray.init(address="local", num_cpus=ncpu, include_dashboard=False,
              logging_level="ERROR")
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     import __ray_entry__ as E
 
     only = set(sys.argv[3].split(",")) if len(sys.argv) > 3 else None

@@ -15,6 +15,7 @@ import json
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 CHILD = r"""
 import ray, time, shutil, json, sys
@@ -39,7 +40,8 @@ print(json.dumps({"ncpu": ncpu, "wall": wall, "docs": n}))
 def run_once(ncpu: int) -> dict:
     out = subprocess.run(
         [sys.executable, "-c", CHILD, str(ncpu)],
-        capture_output=True, text=True, check=True, cwd="/root/repo",
+        capture_output=True, text=True, check=True,
+        cwd=Path(__file__).resolve().parents[1],
     ).stdout
     return json.loads(out.strip().splitlines()[-1])
 

@@ -12,6 +12,7 @@ import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 CHILD = r"""
 import os, ray, time, shutil, json, sys
@@ -42,7 +43,8 @@ print(json.dumps({"ncpu": ncpu, "counts": counts or writes, "writes": writes, "d
 def run_level(ncpu: int, reps: int) -> dict:
     out = subprocess.run(
         [sys.executable, "-c", CHILD, str(ncpu), str(reps)],
-        capture_output=True, text=True, check=True, cwd="/root/repo",
+        capture_output=True, text=True, check=True,
+        cwd=Path(__file__).resolve().parents[1],
     ).stdout
     return json.loads(out.strip().splitlines()[-1])
 
