@@ -39,11 +39,11 @@ from ocr_sam_project_ray.functions.classify import HIGH_PRIORITY_KEYWORDS
 from ocr_sam_project_ray.functions.extract_core import accept_result
 from ocr_sam_project_ray.functions.textops import parse_date_es
 from ocr_sam_project_ray.ops import (
-    bm25, bpe_apply, cdc, chunk, compressratio, corpus_stats, dedup_text,
-    dsir, embed, graph, hostquota, imagepix, incremental, invindex, kmeans,
-    line_dedup, linkgraph, mixture, mojibake, multimodal, ngram_lm, normalize,
-    outliers, pii, quality, quantize, ranking, sketch, span_dedup, split,
-    stratified, textstats, tfidf, urltools, wsample,
+    bm25, bpe_apply, compressratio, corpus_stats, dedup_text, dsir, embed,
+    graph, hostquota, incremental, invindex, line_dedup, linkgraph, mixture,
+    mojibake, multimodal, ngram_lm, normalize, outliers, pii, quality,
+    quantize, ranking, sketch, span_dedup, split, stratified, textstats,
+    tfidf, urltools, wsample,
 )
 from ocr_sam_project_ray.pipelines.extraction import (
     PipelineConfig, _scope_reservation, batch_rollup, project_persons,
@@ -183,11 +183,6 @@ def _csv(df: pd.DataFrame, col: str) -> pd.DataFrame:
     column's repr differs between pandas bridges, the string does not."""
     df[col] = df[col].map(lambda v: ",".join(str(int(round(float(x)))) for x in v))
     return df
-
-
-def _decodable(ds):
-    """The payloads that decoded, without the flag column."""
-    return ds.filter(expr="decodable").drop_columns(["decodable"])
 
 
 def _near_pairs(ds):
@@ -1013,154 +1008,6 @@ QUERIES = [
                  AS bpe_tokens
         FROM documents
     """),
-    # pixel-real decode (zlib inflate + scanline unfilter, GIF LZW, 24-bpp
-    # BMP) → nearest-neighbor halve → BMP re-encode on an actor pool; pixel
-    # CONTENT is pinned by tests/test_imagepix.py
-    Query("multimodal_resize", _docs, lambda ds: _decodable(
-        imagepix.resize_payloads(multimodal.payloads_from_documents(ds))),
-          ["item_id", "format", "src_w", "src_h", "out_w", "out_h", "n_bytes"], """
-            WITH m AS (
-              SELECT doc_id AS item_id, doc_id % 5 AS k,
-                     CAST(2 + doc_id % 31 AS INT) AS src_w,
-                     CAST(2 + doc_id % 17 AS INT) AS src_h
-              FROM documents
-              WHERE doc_id % 5 IN (0, 1, 2)
-            ), r AS (
-              SELECT item_id,
-                     CASE WHEN k = 0 THEN 'png'
-                          WHEN k = 1 THEN 'gif'
-                          ELSE 'bmp' END AS format,
-                     src_w, src_h,
-                     CAST(greatest(1, src_w // 2) AS INT) AS out_w,
-                     CAST(greatest(1, src_h // 2) AS INT) AS out_h
-              FROM m
-            )
-            SELECT item_id, format, src_w, src_h, out_w, out_h,
-                   CAST(54 + ((3 * out_w + 3) // 4 * 4) * out_h
-                        AS BIGINT) AS n_bytes
-            FROM r
-        """),
-    # exact per-channel pixel sums; the oracle re-evaluates the generators'
-    # pixel formulas cell-by-cell, so one wrong decoded pixel mismatches
-    Query("image_channel_stats", _docs, lambda ds: _decodable(
-        imagepix.channel_stats_payloads(multimodal.payloads_from_documents(ds))),
-          oracle="""
-            WITH m AS (
-              SELECT doc_id AS item_id, doc_id % 5 AS k,
-                     2 + doc_id % 31 AS w, 2 + doc_id % 17 AS h
-              FROM documents
-              WHERE doc_id % 5 IN (0, 1, 2)
-            ),
-            -- one row per PIXEL: the oracle re-evaluates the generator
-            -- formulas cell-by-cell (ops/imagebytes.py tiny_png/gif/bmp)
-            px AS (
-              SELECT item_id, k, w, h,
-                     unnest(range(w * h)) AS i
-              FROM m
-            ),
-            v AS (
-              SELECT item_id, k, w, h,
-                     i % w AS x, i // w AS y
-              FROM px
-            )
-            SELECT item_id,
-                   CASE WHEN k = 0 THEN 'png'
-                        WHEN k = 1 THEN 'gif'
-                        ELSE 'bmp' END AS format,
-                   CAST(w * h AS BIGINT) AS n_px,
-                   CAST(sum(CASE WHEN k = 0 THEN (x*31 + y*17) % 251
-                            WHEN k = 1 THEN
-                              CASE WHEN (y*w + x) % 2 = 1 THEN 255 ELSE 0 END
-                            ELSE (x*13 + y*7 + 6) % 256 END)
-                        AS BIGINT) AS sum_r,
-                   CAST(sum(CASE WHEN k = 0 THEN (x*31 + y*17) % 251
-                            WHEN k = 1 THEN
-                              CASE WHEN (y*w + x) % 2 = 1 THEN 255 ELSE 0 END
-                            ELSE (x*13 + y*7 + 3) % 256 END)
-                        AS BIGINT) AS sum_g,
-                   CAST(sum(CASE WHEN k = 0 THEN (x*31 + y*17) % 251
-                            WHEN k = 1 THEN
-                              CASE WHEN (y*w + x) % 2 = 1 THEN 255 ELSE 0 END
-                            ELSE (x*13 + y*7 + 0) % 256 END)
-                        AS BIGINT) AS sum_b
-            FROM v
-            GROUP BY item_id, k, w, h
-        """),
-    # every 2nd frame of real multi-frame animated GIFs; the oracle
-    # recomputes the sampled frames and each frame's pixel sum in closed
-    # form (white count = (w*h + f + 1) // (f + 2), distinct per frame)
-    Query("gif_frame_sample", _docs, lambda ds: _decodable(imagepix.frame_sample_payloads(
-        imagepix.anim_payloads_from_documents(ds), every=2)), oracle="""
-            WITH m AS (
-              SELECT doc_id AS item_id,
-                     2 + doc_id % 31 AS w, 2 + doc_id % 17 AS h,
-                     1 + doc_id % 4 AS nf
-              FROM documents
-            ), s AS (
-              SELECT item_id, w, h, nf, unnest(range(0, nf, 2)) AS f
-              FROM m
-            )
-            SELECT item_id,
-                   CAST(nf AS INT) AS n_frames,
-                   CAST(f AS INT) AS frame_idx,
-                   CAST(w AS INT) AS w,
-                   CAST(h AS INT) AS h,
-                   CAST(255 * ((w*h + f + 1) // (f + 2)) AS BIGINT)
-                     AS sum_r,
-                   CAST(255 * ((w*h + f + 1) // (f + 2)) AS BIGINT)
-                     AS sum_g,
-                   CAST(255 * ((w*h + f + 1) // (f + 2)) AS BIGINT)
-                     AS sum_b
-            FROM s
-        """),
-    # perceptual dHash: 9x8 nearest-grid channel-sum differences → 64 bits
-    # as int32-range (hi, lo) halves; the oracle recomputes every bit (cell
-    # values are the generators' pixel formulas, flipped for bottom-up BMP)
-    Query("image_dhash", _docs, lambda ds: _decodable(
-        imagepix.dhash_payloads(multimodal.payloads_from_documents(ds))), oracle="""
-            WITH m AS (
-              SELECT doc_id AS item_id, doc_id % 5 AS k,
-                     2 + doc_id % 31 AS w, 2 + doc_id % 17 AS h
-              FROM documents
-              WHERE doc_id % 5 IN (0, 1, 2)
-            ), b AS (
-              SELECT item_id, k, w, h, unnest(range(64)) AS j
-              FROM m
-            ), c AS (
-              SELECT item_id, k, w, h, j,
-                     ((j % 8) * w) // 9 AS x1,
-                     (((j % 8) + 1) * w) // 9 AS x2,
-                     ((j // 8) * h) // 8 AS sy
-              FROM b
-            ), v AS (
-              SELECT item_id, k, j,
-                CASE WHEN k = 0 THEN 3 * ((x1*31 + sy*17) % 251)
-                     WHEN k = 1 THEN CASE WHEN (sy*w + x1) % 2 = 1
-                                          THEN 765 ELSE 0 END
-                     ELSE ((x1*13 + (h-1-sy)*7) % 256)
-                          + ((x1*13 + (h-1-sy)*7 + 3) % 256)
-                          + ((x1*13 + (h-1-sy)*7 + 6) % 256) END AS g1,
-                CASE WHEN k = 0 THEN 3 * ((x2*31 + sy*17) % 251)
-                     WHEN k = 1 THEN CASE WHEN (sy*w + x2) % 2 = 1
-                                          THEN 765 ELSE 0 END
-                     ELSE ((x2*13 + (h-1-sy)*7) % 256)
-                          + ((x2*13 + (h-1-sy)*7 + 3) % 256)
-                          + ((x2*13 + (h-1-sy)*7 + 6) % 256) END AS g2
-              FROM c
-            )
-            SELECT item_id,
-                   CASE WHEN k = 0 THEN 'png'
-                        WHEN k = 1 THEN 'gif'
-                        ELSE 'bmp' END AS format,
-                   CAST(sum(CASE WHEN g1 > g2 AND j >= 32
-                            THEN (CAST(1 AS BIGINT) << (j - 32))
-                            ELSE 0 END) AS BIGINT) AS dhash_hi,
-                   CAST(sum(CASE WHEN g1 > g2 AND j < 32
-                            THEN (CAST(1 AS BIGINT) << j)
-                            ELSE 0 END) AS BIGINT) AS dhash_lo
-            FROM v
-            GROUP BY item_id, k
-        """),
     Query("strip_dup_spans", _docs, partial(span_dedup.strip_dup_spans, num_partitions=4),
           oracle=span_dedup.sql_strip_dup_spans),
     # priority near-dedup: within each cluster keep the HIGHEST-n_chars doc
@@ -1197,7 +1044,6 @@ QUERIES = [
         ds, num_partitions=4).to_pandas(), "postings"), oracle=lambda: (
             "SELECT token, df, array_to_string(postings, ',') AS postings "
             f"FROM ({invindex.sql_inverted_index()})")),
-    Query("chunk_documents", _docs, chunk.chunk_documents, oracle=chunk.sql_chunk_documents),
     # weights-artifact embedder backend: a parquet weight matrix loaded once
     # per actor; its integer-valued weights keep the float sums exact
     Query("doc_embeddings_learned", _docs, lambda ds: _csv(embedder.embed_documents(
@@ -1212,17 +1058,14 @@ QUERIES = [
     Query("embed_quantize_stats", _embeddings, quantize.quantize_stats,
           oracle=quantize.sql_quantize_stats),
     # rows-only below: approximate or not SQL-expressible; their accuracy
-    # bounds are tested in test_ops_embed, test_ops_sketch, test_kmeans,
-    # test_bm25, test_cdc and test_compressratio
+    # bounds are tested in test_ops_embed, test_ops_sketch, test_bm25 and
+    # test_compressratio
     Query("knn_ivf", _embeddings, lambda ds: embed.knn_ivf(ds, *_knn_queries(ds), k=10)),
     Query("approx_distinct_users", _read("events", ["user_id"]), lambda ds: pd.DataFrame(
         {"approx_distinct_users": [round(sketch.approx_count_distinct(ds, "user_id"), 3)]})),
-    Query("semdedup", _embeddings,
-          lambda ds: kmeans.semdedup(ds, eps=0.4, n_clusters=8, iters=4)[0], ["vec_id"]),
     # float scores hash representation-sensitively: ranks and doc ids remain
     Query("bm25_topk_float", _docs, lambda ds: bm25.bm25_topk(
         ds, BM25_QUERIES, k=10, scoring="float").select(["qid", "doc_id", "rank"])),
-    Query("cdc_chunk_stats", _docs, cdc.cdc_chunk_stats),
     Query("compression_signal", _docs, compressratio.compression_signal),
     # per-host percent_rank of page text length: ties share the min rank,
     # pct = ONE IEEE division of exact integers, so DuckDB matches bit for bit

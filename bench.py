@@ -232,19 +232,6 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
         num_partitions=8,
     ).count())
 
-    # SemDeDup over the embeddings table (full-corpus k-means + within-
-    # cluster cosine pairs + CC + drop)
-    from ocr_sam_project_ray.ops.kmeans import semdedup
-
-    emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
-
-    def _run_semdedup():
-        kept, _ = semdedup(emb, eps=0.4, n_clusters=8, iters=4,
-                           num_partitions=8)
-        kept.count()
-
-    timed("semdedup_embeddings", _run_semdedup)
-
     # DSIR importance scoring over the documents table (fit both hashed
     # n-gram models in one fold pass, broadcast llr, score every doc)
     from ocr_sam_project_ray.ops.dsir import dsir_score
@@ -271,18 +258,6 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
 
     timed("embed_documents", lambda: embed_documents(
         docs_tbl, concurrency=(1, max(4, num_cpus // 4)), batch_size=1024
-    ).count())
-
-    # blob-heavy actor-pool path (round 5): synthesize real image
-    # payloads from the documents table and fingerprint them — the
-    # telemetry showcase for binary columns (small batches, payloads
-    # never cross a shuffle)
-    from ocr_sam_project_ray.ops.imagepix import dhash_payloads
-    from ocr_sam_project_ray.ops.multimodal import payloads_from_documents
-
-    timed("image_dhash_docs", lambda: dhash_payloads(
-        payloads_from_documents(docs_tbl),
-        batch_size=64, concurrency=(1, max(4, num_cpus // 4)),
     ).count())
 
     result = {

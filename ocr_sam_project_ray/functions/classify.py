@@ -12,7 +12,6 @@ matching is unambiguous), which also determines priority/urgency downstream
 
 from __future__ import annotations
 
-from typing import Optional
 
 # (id, label, tramite, departamento) — ocr_service.py:305-320
 TAXONOMY: list[tuple[int, str, str, str]] = [
@@ -122,16 +121,3 @@ def is_urgent(tipo_oficio: str) -> bool:
     low = (tipo_oficio or "").lower()
     return any(kw in low for kw in HIGH_PRIORITY_KEYWORDS)
 
-
-def classify_id(text: str) -> int:
-    return classify_text(text)[0]
-
-
-def sql_classify_case(text_expr: str) -> str:
-    """Render the classifier as an ANSI-SQL CASE expression over ``text_expr``
-    — used to build DuckDB oracle queries that must agree with
-    :func:`classify_text` exactly."""
-    whens = "\n".join(
-        f"    WHEN contains(lower({text_expr}), '{kw}') THEN {tid}" for kw, tid in TRIGGERS
-    )
-    return f"CASE\n{whens}\n    ELSE 0 END"

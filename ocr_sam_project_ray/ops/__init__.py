@@ -4,9 +4,8 @@ connected-components cluster resolution (``graph``), bounded-memory Bloom
 membership (``bloom``), per-error-class retry/backoff (``retry``),
 embedding similarity (brute-force + IVF-bucketed ANN, cosine near-dup),
 text analysis (language-ID, quality scoring, token counting,
-fingerprinting), mergeable sketches (``sketch``), multimodal
-binary-column plumbing with real container sniffing (``multimodal``) and
-pixel decoding (``imagepix``), DSIR importance weights (``dsir``),
+fingerprinting), multimodal binary-column plumbing with real container
+sniffing (``multimodal``), DSIR importance weights (``dsir``),
 mojibake repair (``mojibake``), BPE encoding with a fixed merge list
 (``bpe_apply``), inverted-index build and phrase search (``invindex``).
 

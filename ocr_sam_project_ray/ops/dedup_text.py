@@ -86,10 +86,6 @@ def _hash_words(words: list[str]) -> np.ndarray:
     return out
 
 
-def _md5_64(data: bytes) -> int:
-    return int.from_bytes(hashlib.md5(data).digest()[:8], "big")
-
-
 def word_ngrams(text: str, n: int = 3) -> set[tuple[str, ...]]:
     """Docs with fewer than ``n`` words have NO grams (empty set) — matching
     the SQL oracle's generate_series expression, which yields an empty list
@@ -179,11 +175,6 @@ def _band_key_matrix(sigs: np.ndarray) -> np.ndarray:
             g = g * _POLY + r[:, :, k]
         g = _splitmix64(g ^ (np.arange(_BANDS, dtype=np.uint64)[None, :] * _GOLDEN))
     return g.view(np.int64)
-
-
-def band_keys(sig: np.ndarray) -> list[int]:
-    """Band keys for one signature (see _band_key_matrix)."""
-    return _band_key_matrix(sig.reshape(1, _N_PERM))[0].tolist()
 
 
 def simhash64(text: str) -> int:
@@ -509,24 +500,6 @@ def dedup_near_minhash(
     )
     comps = connected_components(pairs, num_partitions=num_partitions)
     return drop_by_components(ds, comps, id_col, num_partitions=num_partitions)
-
-
-def simhash_table(
-    ds: Dataset, id_col: str = "doc_id", text_col: str = "text"
-) -> Dataset:
-    """(id, simhash_hex) per doc — fingerprint stage for Hamming near-dup."""
-
-    def f(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_pylist()
-        hs = [simhash64(t) for t in batch[text_col].to_pylist()]
-        return pa.table(
-            {
-                id_col: pa.array(ids, pa.int64()),
-                "simhash_hex": pa.array([f"{h:016x}" for h in hs], pa.string()),
-            }
-        )
-
-    return ds.map_batches(f, batch_format="pyarrow")
 
 
 def simhash_near_pairs(

@@ -42,11 +42,11 @@ def chunked_upper_pairs(
     """All strict-upper-triangle cosine pairs ≥ threshold over a
     row-NORMALIZED matrix ``m`` aligned with ascending-sorted ``ids``:
     returns (id_a, id_b, sim-rounded-6dp) lists in row-major order —
-    the shared kernel of semdedup_pairs, cosine_near_pairs(_ivf).
+    the shared kernel of cosine_near_pairs and cosine_near_pairs_ivf.
 
     Row-chunked so transients stay at chunk×(n−lo) instead of the n²
-    sims + triu_indices arrays (~1.2 GB per ~8k-row group — measured as
-    the dominant semdedup wall at sf1), and each chunk multiplies only
+    sims + triu_indices arrays (~1.2 GB per ~8k-row group, measured at
+    sf1), and each chunk multiplies only
     against columns at-or-right-of itself (``m[lo:]``), halving flops
     vs a full ``m @ m.T``; the emit order is identical to the one-shot
     triu form, and each surviving dot product is identical ON THIS
@@ -308,8 +308,6 @@ def cosine_near_pairs_ivf(
     )
 
     def pairs(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
         ids_all = np.asarray(batch[id_col].to_pylist(), dtype=np.int64)
         buckets = np.asarray(batch["ivf_bucket"].to_pylist())
         m_all = _normalize(_batch_matrix(batch, emb_col))

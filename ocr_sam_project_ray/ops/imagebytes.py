@@ -115,43 +115,3 @@ def pad_payload(raw: bytes, size: int = IMG_BYTES) -> bytes:
     if len(raw) > size:
         raise ValueError(f"image payload {len(raw)} bytes exceeds pad {size}")
     return raw + b"\x00" * (size - len(raw))
-
-
-def tiny_gif_anim(w: int, h: int, n_frames: int) -> bytes:
-    """Multi-frame animated GIF89a: one graphic-control extension +
-    image block per frame, each frame full-size with the 2-color
-    pattern ``index(i, f) = 1 if i % (f + 2) == 0 else 0`` (frame f's
-    white-pixel count is the closed form ``(w*h + f + 1) // (f + 2)``,
-    DISTINCT per frame so the SQL oracle pins every sampled frame) —
-    genuine LZW per frame, decodable by any conforming reader."""
-    out = bytearray(b"GIF89a")
-    out += struct.pack("<HH", w, h)
-    out += bytes([0xF0, 0, 0])
-    out += b"\x00\x00\x00\xff\xff\xff"  # global color table (black, white)
-    for f in range(n_frames):
-        # graphic control extension (delay 10cs, no transparency)
-        out += b"\x21\xf9\x04\x00\x0a\x00\x00\x00"
-        out += b"\x2c" + struct.pack("<HHHH", 0, 0, w, h) + b"\x00"
-        out += b"\x02"  # LZW min code size 2
-        codes: list[int] = [4]
-        for i in range(w * h):
-            codes.append(1 if i % (f + 2) == 0 else 0)
-            codes.append(4)  # clear keeps the code width fixed at 3 bits
-        codes[-1] = 5  # final clear becomes EOF
-        bits = bitpos = 0
-        data = bytearray()
-        for c in codes:
-            bits |= c << bitpos
-            bitpos += 3
-            while bitpos >= 8:
-                data.append(bits & 0xFF)
-                bits >>= 8
-                bitpos -= 8
-        if bitpos:
-            data.append(bits & 0xFF)
-        for off in range(0, len(data), 255):
-            chunk = data[off: off + 255]
-            out += bytes([len(chunk)]) + chunk
-        out += b"\x00"  # block terminator
-    out += b"\x3b"
-    return bytes(out)

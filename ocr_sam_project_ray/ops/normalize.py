@@ -112,19 +112,3 @@ def dedup_exact_normalized(
         batch_size=None,
     )
     return ds.drop_columns(["content_fp"])
-
-
-def sql_dedup_exact_normalized(
-    table: str = "documents", id_col: str = "doc_id",
-    text_col: str = "text",
-) -> str:
-    """DuckDB recompute: min id per normalized key (md5 of the same
-    chain), original columns carried through."""
-    n = sql_normalize_expr(f"coalesce({text_col}, '')")
-    return f"""
-        SELECT * EXCLUDE (rn) FROM (
-          SELECT t.*, row_number() OVER (
-            PARTITION BY md5({n}) ORDER BY {id_col}) AS rn
-          FROM {table} t)
-        WHERE rn = 1
-    """

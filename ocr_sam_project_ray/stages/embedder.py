@@ -1,8 +1,8 @@
 """Text → embedding actor-pool stage — the missing first-class LLM-data
 component called out by the round-3 review: every embedding consumer in
-this engine (ops/kmeans.semdedup, ops/embed.knn_cosine, ops/bm25.rrf_fuse)
-previously started from a pre-built ``embeddings.parquet``; this stage
-produces that column FROM RAW TEXT inside the pipeline.
+this engine (ops/embed.knn_cosine, ops/bm25.rrf_fuse) previously started
+from a pre-built ``embeddings.parquet``; this stage produces that column
+FROM RAW TEXT inside the pipeline.
 
 Stage shape (the reference's warm-singleton seam re-expressed as a Ray
 Data actor pool — src/ocr_processor/app.py:22-27 keeps its Textract

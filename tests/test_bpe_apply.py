@@ -1,14 +1,13 @@
 import random
 
 import duckdb
-import pyarrow as pa
 import pytest
 
 import ray.data
 
 from ocr_sam_project_ray.ops.bpe_apply import (
     DEMO_MERGES, PUA_BASE, bpe_encode_stats, bpe_token_freqs,
-    build_replace_table, encode_packed, encode_word,
+    build_replace_table, encode_word,
     sql_bpe_encode_stats, sql_bpe_token_freqs, sql_replace_chain,
 )
 

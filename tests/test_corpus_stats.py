@@ -1,15 +1,18 @@
 """Corpus statistics operators vs hand-computed and DuckDB-recomputed
-expectations."""
+expectations; plus the percentile outlier trim vs DuckDB."""
 
 import duckdb
-import numpy as np
+import pandas as pd
 import pyarrow as pa
-import pytest
 
 import ray.data
 
 from ocr_sam_project_ray.ops.corpus_stats import (
     host_stats, token_count_quantiles, token_df,
+)
+from ocr_sam_project_ray.ops.outliers import (
+    SQL_TRIM_DOCS_BY_LENGTH, column_quantiles, trim_docs_by_length,
+    trim_outliers,
 )
 
 SF = "/root/testdata/sf0.001"
@@ -161,3 +164,49 @@ def test_pack_documents_streams_to_parquet(tmp_path):
         ray.data.read_parquet(docs_path), budget=512
     ).to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert written.pack_id.tolist() == collected.pack_id.tolist()
+
+
+# ---------- percentile outlier trim ----------
+
+def test_column_quantiles_match_duckdb():
+    docs = ray.data.read_parquet(f"{SF}/documents.parquet")
+    got = column_quantiles(docs, "n_chars", (0.05, 0.5, 0.95))
+    exp = duckdb.sql(
+        f"""SELECT quantile_disc(n_chars, 0.05) q05,
+                   quantile_disc(n_chars, 0.5) q50,
+                   quantile_disc(n_chars, 0.95) q95
+            FROM read_parquet('{SF}/documents.parquet')"""
+    ).fetchone()
+    assert (got[0.05], got[0.5], got[0.95]) == exp
+
+
+def test_trim_docs_matches_duckdb():
+    got = (
+        trim_docs_by_length(SF)
+        .to_pandas().sort_values("doc_id").reset_index(drop=True)
+    )
+    con = duckdb.connect()
+    con.sql(
+        f"CREATE VIEW documents AS SELECT * FROM "
+        f"read_parquet('{SF}/documents.parquet')"
+    )
+    exp = con.sql(SQL_TRIM_DOCS_BY_LENGTH).df()
+    for c in exp.columns:
+        exp[c] = exp[c].astype("int64")
+    pd.testing.assert_frame_equal(got[exp.columns.tolist()], exp)
+
+
+def test_trim_reports_thresholds():
+    docs = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array(range(100), pa.int64()),
+                "n": pa.array(list(range(100)), pa.int64()),
+            }
+        )
+    ).repartition(4)
+    kept, thr = trim_outliers(docs, "n", 0.10, 0.90)
+    df = kept.to_pandas()
+    assert thr["lo"] == 9 and thr["hi"] == 89  # ceil(q*100)-1 rank rule
+    assert df["n"].min() == 9 and df["n"].max() == 89
+    assert len(df) == 81

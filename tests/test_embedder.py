@@ -1,7 +1,6 @@
 """Text→embedding actor-pool stage (stages/embedder.py): kernel vs a
 slow per-token reference, zero-token / degenerate-token paths, the
-DuckDB oracle contract, actor-pool schema, and the round-4 headline:
-SemDeDup composed from RAW TEXT end-to-end (embed → cluster → drop)."""
+DuckDB oracle contract and actor-pool schema."""
 
 import duckdb
 import numpy as np
@@ -110,51 +109,6 @@ def test_sql_oracle_parity():
     assert len(got) == len(TEXTS)
     for doc_id, emb_str in got:
         assert emb_str == ",".join(map(str, mat[doc_id]))
-
-
-def test_semdedup_from_raw_text_end_to_end():
-    """The round-3 review's 'done' bar: semantic dedup composed from raw
-    text in ONE pipeline — embed_documents (actor pool) → semdedup
-    (k-means buckets → cosine pairs → components → min-id survivor)."""
-    from ocr_sam_project_ray.ops.kmeans import semdedup
-
-    # 3 lexical "topics"; exact duplicate docs embed to identical vectors
-    # (cosine 1.0), so each dup group must collapse to its min doc_id.
-    topics = [
-        "alpha beta gamma delta epsilon zeta",
-        "uno dos tres cuatro cinco seis siete",
-        "red green blue cyan magenta yellow black",
-    ]
-    ids, texts = [], []
-    did = 0
-    for t, topic in enumerate(topics):
-        for i in range(20):
-            ids.append(did)
-            texts.append(f"{topic} filler{t}x{i} tail{i % 7}")
-            did += 1
-        for _ in range(3):  # exact dups of the topic's first doc
-            ids.append(did)
-            texts.append(f"{topic} filler{t}x0 tail0")
-            did += 1
-    docs = ray.data.from_arrow(
-        pa.table({"doc_id": pa.array(ids, pa.int64()),
-                  "text": pa.array(texts, pa.string())})
-    )
-    emb = embed_documents(docs, concurrency=(1, 2), batch_size=32)
-    kept, skipped = semdedup(
-        emb, eps=0.999, n_clusters=3, iters=3, id_col="doc_id"
-    )
-    kept_ids = sorted(r["doc_id"] for r in kept.take_all())
-    # per topic: doc 0 survives its dup group; the 3 copies drop
-    expected_dropped = set()
-    per_topic = 23
-    for t in range(len(topics)):
-        base = t * per_topic
-        expected_dropped.update({base + 20, base + 21, base + 22})
-        expected_dropped.add(base)  # min-id survivor of the group
-        expected_dropped.remove(base)
-    assert set(range(len(ids))) - set(kept_ids) == expected_dropped
-    assert skipped.count() == 0  # no hot-cluster overflow at this size
 
 
 def test_huge_token_no_int64_wrap():

@@ -1,35 +1,9 @@
-"""Hypothesis fuzz for two kernels: CDC chunking invariants on arbitrary
-text, and phrase_search cross-engine parity with its DuckDB n-gram
-recompute on arbitrary small-alphabet documents, multi-byte and non-BMP
-tokens included."""
+"""Hypothesis fuzz for phrase_search: cross-engine parity with its DuckDB
+n-gram recompute on arbitrary small-alphabet documents, multi-byte and
+non-BMP tokens included."""
 
 import duckdb
 from hypothesis import given, settings, strategies as st
-
-from ocr_sam_project_ray.ops.cdc import CDC_MAX, CDC_MIN, chunk_spans
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.text(min_size=0, max_size=4000))
-def test_cdc_spans_invariants_fuzz(text):
-    spans = chunk_spans(text)
-    n = len((text or "").encode("utf-8", "replace"))
-    if n == 0:
-        assert spans == []
-        return
-    # exact tiling
-    assert spans[0][0] == 0 and spans[-1][1] == n
-    for (s0, e0), (s1, e1) in zip(spans, spans[1:]):
-        assert e0 == s1
-    # size bounds (tail may undershoot the min)
-    for s, e in spans:
-        assert e - s <= CDC_MAX
-        assert e > s
-    for s, e in spans[:-1]:
-        assert e - s >= CDC_MIN
-    # determinism
-    assert chunk_spans(text) == spans
-
 
 _PWORD = st.sampled_from(
     ["a", "b", "ab", "a.b", "0", "é", "中中", "x🙂", "Ω-1"]

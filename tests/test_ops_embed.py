@@ -116,8 +116,8 @@ def test_cosine_near_pairs_ivf_and_dedup(emb, ref):
 def test_chunked_upper_pairs_equals_triu_form():
     """The shared chunked scan must emit exactly the one-shot
     m@m.T + triu_indices pairs, in the same row-major order, for chunk
-    sizes that split groups mid-row (the boundary cases both semdedup
-    and the IVF kernel rely on)."""
+    sizes that split groups mid-row (the boundary cases the exact and IVF
+    kernels rely on)."""
     import numpy as np
 
     from ocr_sam_project_ray.ops.embed import _normalize, chunked_upper_pairs

@@ -14,6 +14,14 @@ def test_clean_value():
     assert T.clean_value(" x ") == "x"
 
 
+def test_extract_numbers():
+    assert T.extract_numbers("Oficio 123-2024, monto B/. 1,500.75") == [
+        123, 2024, 1, 500, 75]
+    assert T.extract_numbers("007 y 0") == [7, 0]
+    assert T.extract_numbers("sin cifras") == []
+    assert T.extract_numbers(None) == []
+
+
 def test_normalize_company_name():
     assert T.normalize_company_name("ACME CORP") == "Acme"
     assert T.normalize_company_name("banco sol S.A.") == "Banco Sol"

@@ -19,9 +19,6 @@ Ops timed (one JSON line on stdout):
 - near_dedup_chain  LSH candidates -> verify -> connected components ->
                     anti-join drop (the dedup_docs_near_verified chain)
 - line_dedup        C4 corpus-global line dedup
-- embed_semdedup    stages/embedder (actor pool, from raw text) ->
-                    ops/kmeans.semdedup — the round-4 text->vector path
-                    at 100x
 - host_pagerank_{driver,distributed}  BOTH pagerank plans over a
                     planted 500k-page / 50k-host link fixture (round 5:
                     the auto-switch bound was previously argued at this
@@ -187,8 +184,8 @@ def ensure_sf1_pages(n_pages: int) -> str:
     return path
 
 
-ALL_OPS = ("exact", "near", "line", "semdedup", "pagerank", "bm25",
-           "extraction", "bpe", "quantknn", "frontier")
+ALL_OPS = ("exact", "near", "line", "pagerank", "bm25", "extraction",
+           "bpe", "quantknn", "frontier")
 
 
 def main() -> int:
@@ -213,8 +210,7 @@ def main() -> int:
     n_docs = int(argv[0]) if argv else N_DOCS_DEFAULT
     # the 500k-doc corpus is only consumed by the docs() ops — don't pay
     # its build for a pagerank/extraction-only run on a fresh /tmp
-    docs_ops = {"exact", "near", "line", "semdedup", "bm25", "bpe",
-                "quantknn"}
+    docs_ops = {"exact", "near", "line", "bm25", "bpe", "quantknn"}
     path = ensure_sf1(n_docs) if docs_ops & set(only) else None
     ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
@@ -263,25 +259,6 @@ def main() -> int:
         ld = line_dedup(docs(), num_partitions=nparts)
         results["line_dedup_rows"] = ld.count()
         results["line_dedup_s"] = round(time.time() - t0, 2)
-
-    if "semdedup" in only:
-        t0 = time.time()
-        from ocr_sam_project_ray.ops.kmeans import semdedup
-        from ocr_sam_project_ray.stages.embedder import embed_documents
-
-        # checkpoint the embeddings ONCE (the pipelines/curate.py
-        # convention): k-means seeding + Lloyd iterations + pair verify
-        # all re-consume this dataset, and a lazy lineage would re-run
-        # the embed actor pool per pass
-        emb = embed_documents(
-            docs(), concurrency=(1, max(4, ncpu // 2)), batch_size=2048
-        ).materialize()
-        kept, _skipped = semdedup(
-            emb, eps=0.999, n_clusters=64, iters=3, id_col="doc_id",
-            num_partitions=nparts,
-        )
-        results["embed_semdedup_kept"] = kept.count()
-        results["embed_semdedup_s"] = round(time.time() - t0, 2)
 
     if "pagerank" in only:
         from ocr_sam_project_ray.ops.linkgraph import host_pagerank

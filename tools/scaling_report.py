@@ -7,11 +7,9 @@ Usage: python tools/scaling_report.py [reps=3] [lo=8] [hi=32]
 """
 
 import json
-import shutil
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 CHILD = r"""
